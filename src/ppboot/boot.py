@@ -8,21 +8,23 @@ combines three estimator evaluations per iteration:
 
 The multiplier ``lam`` controls reliance on the predictions: 1 is the plain
 combination, 0 falls back to the classical bootstrap of the labeled outcomes
-(the code short-circuits to that exact path), and ``tuned`` estimates the
-variance-minimizing multiplier from an initial bootstrap on disjoint streams.
-The interval is the percentile interval of the retained iteration values.
+(the loop then resamples the labeled outcomes only), and ``tuned`` estimates
+the variance-minimizing multiplier from an initial bootstrap on disjoint
+streams.  Main, classical and tuning draws all come from one loop,
+:func:`resample_estimates`.  The interval is the percentile interval of the
+retained iteration values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
-from .errors import EstimationError
-from .estimators import EstimandSpec, EstimateValue, evaluate
+from .errors import NUMBER, EstimationError, check_config
+from .estimators import EstimandSpec, evaluate
 from .resampling import (
     PHASE_MAIN,
     PHASE_TUNING,
@@ -76,13 +78,11 @@ class BootstrapConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BootstrapConfig":
-        allowed = {
-            "B", "alpha", "lambda_mode", "lambda_value", "tuning_B",
-            "master_seed", "max_degenerate_retries", "clip_lambda",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown bootstrap config keys: {sorted(unknown)}")
+        check_config(raw, {
+            "B": (int,), "alpha": NUMBER, "lambda_mode": (str,), "lambda_value": NUMBER,
+            "tuning_B": (int, type(None)), "master_seed": (int,), "max_degenerate_retries": (int,),
+            "clip_lambda": (bool,),
+        }, "bootstrap")
         return cls(**raw)
 
 
@@ -111,86 +111,76 @@ class BootstrapDraws:
     degenerate_iterations: int
 
 
-def bootstrap_values(
-    B: int,
-    stream: RngStream,
-    max_degenerate_retries: int,
-    attempt: Callable[[RngStream], EstimateValue],
-) -> BootstrapDraws:
-    """Run the deterministic bootstrap loop.
-
-    Iteration ``b``, attempt ``r`` evaluates ``attempt`` on the substream at
-    path ``(..., PHASE_MAIN, b, r)``, so results do not depend on execution
-    order.  A degenerate attempt is redrawn up to ``max_degenerate_retries``
-    times, then the iteration is dropped.
-    """
-    values = np.empty(B)
-    kept = 0
-    dropped = 0
-    for b in range(B):
-        for r in range(max_degenerate_retries + 1):
-            est = attempt(stream.child(PHASE_MAIN, b, r))
-            if est.ok:
-                values[kept] = est.value
-                kept += 1
-                break
-        else:
-            dropped += 1
-    return BootstrapDraws(values[:kept].copy(), dropped)
-
-
 # Estimands that ignore the feature matrix; skipping the feature gather in the
 # resample loop roughly halves per-iteration cost for them.
 _OUTCOME_ONLY_KINDS = ("mean", "quantile")
 
 
-def _classical_attempt(labeled: LabeledDataset, spec: EstimandSpec) -> Callable[[RngStream], EstimateValue]:
-    X, y = labeled.features, labeled.outcomes
-    n = labeled.n
-    needs_features = spec.kind not in _OUTCOME_ONLY_KINDS
-
-    def attempt(s: RngStream) -> EstimateValue:
-        idx = draw_labeled_indices(n, s)
-        return evaluate(spec, X[idx] if needs_features else None, y[idx])
-
-    return attempt
-
-
-def _combined_attempt(
-    labeled: LabeledDataset, unlabeled: UnlabeledDataset, spec: EstimandSpec, lam: float
-) -> Callable[[RngStream], EstimateValue]:
-    Xl, y, fl = labeled.features, labeled.outcomes, labeled.predictions
-    Xu, fu = unlabeled.features, unlabeled.predictions
-    n, N = labeled.n, unlabeled.N
-    needs_features = spec.kind not in _OUTCOME_ONLY_KINDS
-
-    def attempt(s: RngStream) -> EstimateValue:
-        idx = draw_resample(n, N, s)
-        li, ui = idx.labeled_idx, idx.unlabeled_idx
-        Xli = Xl[li] if needs_features else None
-        e_lab = evaluate(spec, Xli, y[li])
-        e_pred = evaluate(spec, Xli, fl[li])
-        e_unl = evaluate(spec, Xu[ui] if needs_features else None, fu[ui])
-        for e in (e_lab, e_pred, e_unl):
-            if not e.ok:
-                return e
-        # Grouping the labeled difference keeps the cancellation exact when
-        # predictions coincide with outcomes.
-        return EstimateValue(lam * e_unl.value + (e_lab.value - lam * e_pred.value))
-
-    return attempt
-
-
-def _check_pair(labeled: LabeledDataset, unlabeled: UnlabeledDataset) -> None:
-    if labeled.d != unlabeled.d:
+def _check_pair(labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, lam: float = 1.0) -> None:
+    if unlabeled is None:
+        if lam != 0.0:
+            raise ValueError("unlabeled data is required unless the multiplier is 0")
+    elif labeled.d != unlabeled.d:
         raise ValueError(f"feature width mismatch: labeled d={labeled.d}, unlabeled d={unlabeled.d}")
 
 
+def resample_estimates(
+    labeled: LabeledDataset,
+    unlabeled: UnlabeledDataset | None,
+    spec: EstimandSpec,
+    B: int,
+    substream: Callable[[int, int], RngStream],
+    max_degenerate_retries: int,
+) -> tuple[np.ndarray, int]:
+    """The bootstrap loop shared by every resampling method.
+
+    Iteration ``b``, attempt ``r`` resamples on ``substream(b, r)`` and
+    evaluates the estimand on the labeled outcomes.  With ``unlabeled`` it
+    resamples both datasets (:func:`draw_resample`) and also evaluates the
+    labeled and the unlabeled predictions; without, it draws the labeled
+    indices only (:func:`draw_labeled_indices`, the same draws).  An attempt
+    with any degenerate estimate is redrawn up to ``max_degenerate_retries``
+    times, then the iteration is dropped.
+
+    Returns ``(rows, dropped)``: one row per retained iteration holding
+    ``(outcome,)`` or ``(outcome, labeled prediction, unlabeled prediction)``,
+    and the number of dropped iterations.
+    """
+    needs_features = spec.kind not in _OUTCOME_ONLY_KINDS
+    rows = np.empty((B, 1 if unlabeled is None else 3))
+    kept = dropped = 0
+    for b in range(B):
+        for r in range(max_degenerate_retries + 1):
+            s = substream(b, r)
+            if unlabeled is None:
+                li = draw_labeled_indices(labeled.n, s)
+            else:
+                idx = draw_resample(labeled.n, unlabeled.N, s)
+                li, ui = idx.labeled_idx, idx.unlabeled_idx
+            Xli = labeled.features[li] if needs_features else None
+            sides = [(Xli, labeled.outcomes[li])]
+            if unlabeled is not None:
+                Xui = unlabeled.features[ui] if needs_features else None
+                sides += [(Xli, labeled.predictions[li]), (Xui, unlabeled.predictions[ui])]
+            ests = [evaluate(spec, X, y) for X, y in sides]
+            if all(e.ok for e in ests):
+                rows[kept] = [e.value for e in ests]
+                kept += 1
+                break
+        else:
+            dropped += 1
+    return rows[:kept], dropped
+
+
 def ppboot_point_estimate(
-    labeled: LabeledDataset, unlabeled: UnlabeledDataset, spec: EstimandSpec, lam: float = 1.0
+    labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, spec: EstimandSpec, lam: float = 1.0
 ) -> float:
-    """Debiased point estimate on the original (non-resampled) data."""
-    _check_pair(labeled, unlabeled)
+    """Debiased point estimate on the original (non-resampled) data.
+
+    With ``lam == 0`` only the labeled outcomes are evaluated, so
+    ``unlabeled`` may be ``None``: that is the classical estimate.
+    """
+    _check_pair(labeled, unlabeled, lam)
     e_lab = evaluate(spec, labeled.features, labeled.outcomes)
     if not e_lab.ok:
         raise EstimationError(f"degenerate point estimate on labeled outcomes: {e_lab.reason}")
@@ -206,7 +196,7 @@ def ppboot_point_estimate(
 
 def ppboot_draws(
     labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled: UnlabeledDataset | None,
     spec: EstimandSpec,
     lam: float,
     B: int,
@@ -215,16 +205,21 @@ def ppboot_draws(
 ) -> BootstrapDraws:
     """Collect the per-iteration combined bootstrap values.
 
-    With ``lam == 0`` the evaluation short-circuits to the classical labeled
-    bootstrap, consuming exactly the same draws as
-    :func:`ppboot.baselines.classical_bootstrap_interval`.
+    Attempt ``r`` of iteration ``b`` draws at ``(..., PHASE_MAIN, b, r)``.
+    With ``lam == 0`` (where ``unlabeled`` may be ``None``) only the labeled
+    outcomes are resampled: this is the classical labeled bootstrap.
     """
-    _check_pair(labeled, unlabeled)
+    _check_pair(labeled, unlabeled, lam)
+    rows, dropped = resample_estimates(
+        labeled, None if lam == 0.0 else unlabeled, spec, B,
+        lambda b, r: stream.child(PHASE_MAIN, b, r), max_degenerate_retries,
+    )
     if lam == 0.0:
-        attempt = _classical_attempt(labeled, spec)
-    else:
-        attempt = _combined_attempt(labeled, unlabeled, spec, lam)
-    return bootstrap_values(B, stream, max_degenerate_retries, attempt)
+        return BootstrapDraws(rows[:, 0].copy(), dropped)
+    lab, pred, unl = rows.T
+    # Grouping the labeled difference keeps the cancellation exact when
+    # predictions coincide with outcomes.
+    return BootstrapDraws(lam * unl + (lab - lam * pred), dropped)
 
 
 def require_retained(draws: BootstrapDraws, B: int) -> None:
@@ -273,47 +268,25 @@ def tune_lambda(
 
         cov(pred, outcome) / (var(pred) + var(unlabeled pred))
 
-    with unbiased sample moments over the retained triples.  Degenerate
-    triples are dropped.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0,
-    which disables the prediction terms entirely.
+    with unbiased sample moments over the retained triples.  Resample ``b``
+    draws on ``stream.child(b)``; degenerate triples are dropped, never
+    redrawn.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0, which
+    disables the prediction terms entirely.
     """
     _check_pair(labeled, unlabeled)
     if tuning_B < 2:
         raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
-    Xl, y, fl = labeled.features, labeled.outcomes, labeled.predictions
-    Xu, fu = unlabeled.features, unlabeled.predictions
-    n, N = labeled.n, unlabeled.N
-
-    needs_features = spec.kind not in _OUTCOME_ONLY_KINDS
-    pred_vals, lab_vals, unl_vals = [], [], []
-    for b in range(tuning_B):
-        idx = draw_resample(n, N, stream.child(b))
-        li, ui = idx.labeled_idx, idx.unlabeled_idx
-        Xli = Xl[li] if needs_features else None
-        e_pred = evaluate(spec, Xli, fl[li])
-        e_lab = evaluate(spec, Xli, y[li])
-        e_unl = evaluate(spec, Xu[ui] if needs_features else None, fu[ui])
-        if e_pred.ok and e_lab.ok and e_unl.ok:
-            pred_vals.append(e_pred.value)
-            lab_vals.append(e_lab.value)
-            unl_vals.append(e_unl.value)
-    m = len(pred_vals)
+    rows, _ = resample_estimates(labeled, unlabeled, spec, tuning_B, lambda b, r: stream.child(b), 0)
+    m = rows.shape[0]
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
-
-    a = np.asarray(pred_vals)
-    b_ = np.asarray(lab_vals)
-    c = np.asarray(unl_vals)
-    ac = a - a.mean()
-    bc = b_ - b_.mean()
-    cc = c - c.mean()
-    cov_ab = float(np.dot(ac, bc)) / (m - 1)
-    var_a = float(np.dot(ac, ac)) / (m - 1)
-    var_c = float(np.dot(cc, cc)) / (m - 1)
-    denom = var_a + var_c
+    # Contiguous columns: BLAS may sum a strided dot product in another order.
+    lab, pred, unl = (col - col.mean() for col in rows.T.copy())
+    cov = float(np.dot(pred, lab)) / (m - 1)
+    denom = float(np.dot(pred, pred)) / (m - 1) + float(np.dot(unl, unl)) / (m - 1)
     if denom < TUNING_DENOM_FLOOR:
         return 0.0
-    return cov_ab / denom
+    return cov / denom
 
 
 def resolve_lambda(
@@ -337,7 +310,7 @@ def resolve_lambda(
 
 def ppboot_interval(
     labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    unlabeled: UnlabeledDataset | None,
     spec: EstimandSpec,
     cfg: BootstrapConfig,
     stream: RngStream,
@@ -347,6 +320,8 @@ def ppboot_interval(
     ``stream`` is the base stream for this inference; tuning draws live under
     its PHASE_TUNING child and main-loop draws under PHASE_MAIN, so a
     classical bootstrap sharing the same base stream is exactly paired.
+    ``unlabeled`` may be ``None`` when the multiplier is fixed at 0: that is
+    the classical bootstrap.
     """
     lam = resolve_lambda(labeled, unlabeled, spec, cfg, stream)
     draws = ppboot_draws(labeled, unlabeled, spec, lam, cfg.B, stream, cfg.max_degenerate_retries)
@@ -362,24 +337,17 @@ def reported_interval(ci: ConfidenceInterval, spec: EstimandSpec) -> ConfidenceI
     values may step outside it); ``exp`` and ``fisher_z_inverse`` map all
     three summaries monotonically, so coverage statements are unaffected.
     """
-    lower, upper, point = ci.lower, ci.upper, ci.point_estimate
+    lower, upper = ci.lower, ci.upper
     if spec.kind == "pearson_corr":
         # Monotone clamp: also keeps lower <= upper when an interval sits
         # entirely outside the correlation range.
         lower = min(max(lower, -1.0), 1.0)
         upper = min(max(upper, -1.0), 1.0)
-    if spec.transform == "exp":
-        lower, upper, point = float(np.exp(lower)), float(np.exp(upper)), float(np.exp(point))
-    elif spec.transform == "fisher_z_inverse":
-        lower, upper, point = float(np.tanh(lower)), float(np.tanh(upper)), float(np.tanh(point))
-    return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        point_estimate=point,
-        lambda_used=ci.lambda_used,
-        degenerate_iterations=ci.degenerate_iterations,
-        alpha=ci.alpha,
-        degenerate_reason=ci.degenerate_reason,
+    return replace(
+        ci,
+        lower=transform_value(lower, spec),
+        upper=transform_value(upper, spec),
+        point_estimate=transform_value(ci.point_estimate, spec),
     )
 
 

@@ -16,14 +16,8 @@ import numpy as np
 
 from .boot import BootstrapConfig, ConfidenceInterval, ppboot_interval
 from .data import LabeledDataset, UnlabeledDataset
-from .errors import EstimationError
-from .estimators import (
-    IRLS_MAX_ITER,
-    IRLS_TOL,
-    SEPARATION_BOUND,
-    EstimandSpec,
-    _sigmoid,
-)
+from .errors import EstimationError, check_config
+from .estimators import EstimandSpec, _sigmoid, fit_logistic, with_intercept
 from .resampling import PHASE_SPLIT, RngStream
 
 # Sub-tags under PHASE_SPLIT: 0 is reserved for the harness's labeled/unlabeled
@@ -53,9 +47,7 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LearnerSpec":
-        unknown = set(raw) - {"kind", "k"}
-        if unknown:
-            raise ValueError(f"unknown learner config keys: {sorted(unknown)}")
+        check_config(raw, {"kind": (str,), "k": (int,)}, "learner")
         return cls(**raw)
 
 
@@ -65,8 +57,7 @@ class LinearLeastSquaresLearner:
     def fit(self, features, outcomes) -> Predictor:
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(outcomes, dtype=np.float64)
-        design = np.hstack([X, np.ones((X.shape[0], 1))])
-        beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        beta, _, _, _ = np.linalg.lstsq(with_intercept(X), y, rcond=None)
 
         def predict(queries: np.ndarray) -> np.ndarray:
             Q = np.asarray(queries, dtype=np.float64)
@@ -85,20 +76,9 @@ class LogisticLearner:
             raise EstimationError("logistic learner requires 0/1 outcomes")
         if np.all(y == y[0]):
             raise EstimationError("logistic learner requires both outcome classes")
-        design = np.hstack([X, np.ones((X.shape[0], 1))])
-        beta = np.zeros(design.shape[1])
-        for _ in range(IRLS_MAX_ITER):
-            mu = _sigmoid(design @ beta)
-            w = mu * (1.0 - mu)
-            try:
-                step = np.linalg.solve(design.T @ (design * w[:, None]), design.T @ (y - mu))
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError("logistic learner hit a singular design") from exc
-            beta = beta + step
-            if np.max(np.abs(beta)) > SEPARATION_BOUND:
-                raise EstimationError("logistic learner diverged (separated data)")
-            if np.max(np.abs(step)) < IRLS_TOL:
-                break
+        beta, reason = fit_logistic(with_intercept(X), y)
+        if reason is not None:
+            raise EstimationError(f"logistic learner failed: {reason}")
 
         def predict(queries: np.ndarray) -> np.ndarray:
             Q = np.asarray(queries, dtype=np.float64)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NUMBER, check_config
 from .resampling import empirical_quantile
 
 ESTIMAND_KINDS = (
@@ -72,10 +73,10 @@ class EstimandSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EstimandSpec":
-        allowed = {"kind", "q", "target_index", "intercept", "exposure_column", "feature_column", "transform"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown estimand config keys: {sorted(unknown)}")
+        check_config(raw, {
+            "kind": (str,), "q": NUMBER, "target_index": (int,), "intercept": (bool,),
+            "exposure_column": (int,), "feature_column": (int,), "transform": (str,),
+        }, "estimand")
         if "kind" not in raw:
             raise ValueError("estimand config requires a 'kind' key")
         return cls(**raw)
@@ -99,6 +100,11 @@ def _require_binary(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr
+
+
+def with_intercept(X: np.ndarray) -> np.ndarray:
+    """Design matrix with a trailing column of ones."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 def _invariant_sum(v: np.ndarray) -> float:
@@ -149,7 +155,7 @@ def est_ols_coef(features, outcomes, target_index: int, intercept: bool = True) 
     if not (0 <= target_index < X.shape[1]):
         raise ValueError(f"target_index {target_index} outside [0, {X.shape[1]})")
     X, y = _canonical_rows(X, y)
-    design = np.hstack([X, np.ones((X.shape[0], 1))]) if intercept else X
+    design = with_intercept(X) if intercept else X
     if design.shape[0] < design.shape[1]:
         raise ValueError(f"need at least {design.shape[1]} rows, got {design.shape[0]}")
     beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -167,26 +173,14 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def est_logistic_coef(features, outcomes, target_index: int, intercept: bool = True) -> EstimateValue:
-    """Maximum-likelihood logistic coefficient via iteratively reweighted least squares.
+def fit_logistic(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+    """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
+    Returns ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed.
     Converges when the largest absolute coefficient change drops below
     ``IRLS_TOL`` or after ``IRLS_MAX_ITER`` iterations.  A coefficient escaping
     ``SEPARATION_BOUND`` during iteration is treated as separation.
     """
-    X = _as_matrix(features, "features")
-    y = _require_binary(_as_vector(outcomes, "outcomes"), "outcomes")
-    if X.shape[0] != y.size:
-        raise ValueError(f"row mismatch: features {X.shape[0]} vs outcomes {y.size}")
-    if not (0 <= target_index < X.shape[1]):
-        raise ValueError(f"target_index {target_index} outside [0, {X.shape[1]})")
-    X, y = _canonical_rows(X, y)
-    design = np.hstack([X, np.ones((X.shape[0], 1))]) if intercept else X
-    if design.shape[0] < design.shape[1]:
-        raise ValueError(f"need at least {design.shape[1]} rows, got {design.shape[0]}")
-    if np.all(y == y[0]):
-        return EstimateValue(float("nan"), "constant outcome")
-
     beta = np.zeros(design.shape[1])
     for iteration in range(IRLS_MAX_ITER):
         mu = _sigmoid(design @ beta)
@@ -196,18 +190,35 @@ def est_logistic_coef(features, outcomes, target_index: int, intercept: bool = T
         try:
             step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
-            if iteration == 0:
-                # Uniform weights at the start: a singular Hessian here means
-                # the design itself is rank-deficient.
-                return EstimateValue(float("nan"), "singular design")
-            # Otherwise the fitted probabilities saturated the weights to
-            # zero, which only happens under separation.
-            return EstimateValue(float("nan"), "separation")
+            # Uniform weights at the start: a singular Hessian there means the
+            # design itself is rank-deficient.  Later, the fitted probabilities
+            # saturated the weights to zero, which only happens under separation.
+            return None, "singular design" if iteration == 0 else "separation"
         beta = beta + step
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            return EstimateValue(float("nan"), "separation")
+            return None, "separation"
         if np.max(np.abs(step)) < IRLS_TOL:
             break
+    return beta, None
+
+
+def est_logistic_coef(features, outcomes, target_index: int, intercept: bool = True) -> EstimateValue:
+    """Maximum-likelihood logistic coefficient (see :func:`fit_logistic`)."""
+    X = _as_matrix(features, "features")
+    y = _require_binary(_as_vector(outcomes, "outcomes"), "outcomes")
+    if X.shape[0] != y.size:
+        raise ValueError(f"row mismatch: features {X.shape[0]} vs outcomes {y.size}")
+    if not (0 <= target_index < X.shape[1]):
+        raise ValueError(f"target_index {target_index} outside [0, {X.shape[1]})")
+    X, y = _canonical_rows(X, y)
+    design = with_intercept(X) if intercept else X
+    if design.shape[0] < design.shape[1]:
+        raise ValueError(f"need at least {design.shape[1]} rows, got {design.shape[0]}")
+    if np.all(y == y[0]):
+        return EstimateValue(float("nan"), "constant outcome")
+    beta, reason = fit_logistic(design, y)
+    if reason is not None:
+        return EstimateValue(float("nan"), reason)
     return EstimateValue(float(beta[target_index]))
 
 

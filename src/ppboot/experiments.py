@@ -32,7 +32,7 @@ from .boot import (
 )
 from .crossfit import LearnerSpec, cross_ppboot_interval, make_learner, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
-from .errors import EstimationError
+from .errors import NUMBER, SEQUENCE, EstimationError, check_config
 from .estimators import EstimandSpec, evaluate
 from .resampling import PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
 
@@ -103,13 +103,11 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        allowed = {
-            "dgp", "total_rows", "coef", "noise_sd", "p", "joint",
-            "prediction_model", "rho", "offset", "prediction_noise_sd", "seed_path",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown synthetic config keys: {sorted(unknown)}")
+        check_config(raw, {
+            "dgp": (str,), "total_rows": (int,), "coef": SEQUENCE, "noise_sd": NUMBER, "p": NUMBER,
+            "joint": SEQUENCE, "prediction_model": (str,), "rho": NUMBER, "offset": NUMBER,
+            "prediction_noise_sd": NUMBER, "seed_path": SEQUENCE,
+        }, "synthetic")
         raw = dict(raw)
         for key in ("coef", "joint", "seed_path"):
             if key in raw:
@@ -203,20 +201,15 @@ class TrialConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrialConfig":
-        allowed = {
-            "n_grid", "trials", "methods", "estimand", "bootstrap",
-            "display_trials", "crossfit", "data",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown study config keys: {sorted(unknown)}")
+        check_config(raw, {
+            "n_grid": SEQUENCE, "trials": (int,), "methods": SEQUENCE, "estimand": (dict,),
+            "bootstrap": (dict,), "display_trials": (int,), "crossfit": (dict,), "data": (dict,),
+        }, "study")
         for key in ("n_grid", "trials", "methods", "estimand"):
             if key not in raw:
                 raise ValueError(f"study config requires {key!r}")
         crossfit = raw.get("crossfit", {})
-        unknown_cf = set(crossfit) - {"k", "learner", "split_fraction"}
-        if unknown_cf:
-            raise ValueError(f"unknown crossfit config keys: {sorted(unknown_cf)}")
+        check_config(crossfit, {"k": (int,), "learner": (dict,), "split_fraction": NUMBER}, "crossfit")
         learner = LearnerSpec.from_dict(crossfit["learner"]) if "learner" in crossfit else LearnerSpec("linear_least_squares")
         return cls(
             n_grid=tuple(raw["n_grid"]),
@@ -323,14 +316,8 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
         return out
 
     cells = [(ni, t) for ni in range(len(config.n_grid)) for t in range(config.trials)]
-    results: dict[tuple[int, int], dict] = {}
-    if threads <= 1:
-        for ni, t in cells:
-            results[(ni, t)] = run_cell(ni, t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {(ni, t): pool.submit(run_cell, ni, t) for ni, t in cells}
-        results = {key: fut.result() for key, fut in futures.items()}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = dict(zip(cells, pool.map(lambda cell: run_cell(*cell), cells)))
 
     aggregates: list[MethodAggregate] = []
     records: list[TrialRecord] = []

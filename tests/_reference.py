@@ -65,6 +65,35 @@ def ppboot_interval(
     return nearest_rank(values, alpha / 2), nearest_rank(values, 1 - alpha / 2), values
 
 
+def tune_lambda(outcomes, labeled_preds, unlabeled_preds, kind: str, tuning_B: int,
+                master_seed: int, base_path: tuple[int, ...] = (), q: float = 0.5) -> float:
+    """Naive power-tuning loop over the tuning-phase substreams.
+
+    Resample ``b`` draws labeled indices at ``base_path + (1, b)`` and
+    unlabeled indices at ``base_path + (1, b, 1)``, with no retry component.
+    """
+    y = np.asarray(outcomes, dtype=float)
+    fl = np.asarray(labeled_preds, dtype=float)
+    fu = np.asarray(unlabeled_preds, dtype=float)
+    n, N = y.size, fu.size
+    pred, lab, unl = [], [], []
+    for b in range(tuning_B):
+        li = stream_gen(master_seed, tuple(base_path) + (1, b)).integers(0, n, size=n)
+        ui = stream_gen(master_seed, tuple(base_path) + (1, b, 1)).integers(0, N, size=N)
+        pred.append(est_value(kind, None, fl[li], q))
+        lab.append(est_value(kind, None, y[li], q))
+        unl.append(est_value(kind, None, fu[ui], q))
+    m = len(pred)
+    mp, ml, mu = sum(pred) / m, sum(lab) / m, sum(unl) / m
+    cov = sum((a - mp) * (b - ml) for a, b in zip(pred, lab)) / (m - 1)
+    var_pred = sum((a - mp) ** 2 for a in pred) / (m - 1)
+    var_unl = sum((c - mu) ** 2 for c in unl) / (m - 1)
+    denom = var_pred + var_unl
+    if denom < 1e-15:  # TUNING_DENOM_FLOOR
+        return 0.0
+    return cov / denom
+
+
 def classical_interval(outcomes, kind: str, B: int, alpha: float, master_seed: int,
                        base_path: tuple[int, ...] = (), q: float = 0.5):
     y = np.asarray(outcomes, dtype=float)

@@ -193,6 +193,12 @@ class TestDegenerateHandling:
         with pytest.raises(ValueError, match="width"):
             ppboot_interval(labeled, unlabeled, MEAN, BootstrapConfig(B=10), stream)
 
+    @pytest.mark.parametrize("mode", ["off", "tuned"])
+    def test_missing_unlabeled_needs_zero_multiplier(self, stream, mode):
+        labeled, _ = make_pair()
+        with pytest.raises(ValueError, match="unlabeled data is required"):
+            ppboot_interval(labeled, None, MEAN, BootstrapConfig(B=10, lambda_mode=mode), stream)
+
 
 class TestTuneLambda:
     def test_pure_noise_lambda_near_zero(self):
@@ -231,6 +237,25 @@ class TestTuneLambda:
         cfg = BootstrapConfig(B=50, lambda_mode="fixed", lambda_value=1.7, clip_lambda=True)
         ci = ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
         assert ci.lambda_used == 1.0
+
+    @pytest.mark.parametrize("kind", ["mean", "quantile"])
+    def test_matches_reference_stream_layout(self, kind):
+        labeled, unlabeled = make_pair(n=15, N=40, seed=28, pred_noise=0.3)
+        spec = EstimandSpec(kind, q=0.3)
+        lam = tune_lambda(labeled, unlabeled, spec, 120, RngStream(29, (4, PHASE_TUNING)))
+        expected = ref.tune_lambda(
+            labeled.outcomes, labeled.predictions, unlabeled.predictions, kind, 120, 29, (4,), q=0.3
+        )
+        assert lam != 0.0
+        assert lam == pytest.approx(expected, abs=1e-12)
+
+    def test_reference_floor_fallback(self):
+        g = np.random.default_rng(30)
+        labeled = LabeledDataset(g.standard_normal((10, 1)), g.standard_normal(10), np.full(10, -0.5))
+        unlabeled = UnlabeledDataset(g.standard_normal((25, 1)), np.full(25, -0.5))
+        lam = tune_lambda(labeled, unlabeled, MEAN, 50, RngStream(31, (PHASE_TUNING,)))
+        expected = ref.tune_lambda(labeled.outcomes, labeled.predictions, unlabeled.predictions, "mean", 50, 31)
+        assert lam == expected == 0.0
 
     def test_tuning_failure(self, stream):
         # Degenerate on every tuning resample: constant exposure.

@@ -194,13 +194,22 @@ class TestStudy:
             blobs = [(d / name).read_bytes() for d in dirs]
             assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys):
-        cfg = study_config(tmp_path, methods=["nonsense"])
+    @pytest.mark.parametrize("overrides, named", [
+        pytest.param({"methods": ["nonsense"]}, "nonsense", id="unknown-method"),
+        pytest.param({"bootstrap": {"B": "1000"}}, "'B'", id="string-B"),
+        pytest.param({"bootstrap": {"alpha": "0.1"}}, "'alpha'", id="string-alpha"),
+        pytest.param({"estimand": {"kind": "mean", "q": "0.5"}}, "'q'", id="string-q"),
+        pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": "10000"}}},
+                     "'total_rows'", id="string-total-rows"),
+    ])
+    def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys, overrides, named):
+        cfg = study_config(tmp_path, **overrides)
         out_dir = tmp_path / "out"
         code, _, err = run_cli(["study", "--config", cfg, "--out", str(out_dir), "--seed", "1"], capsys)
         assert code == 2
         assert not out_dir.exists()
         assert len(err.strip().splitlines()) == 1
+        assert named in err
 
     def test_failing_method_exits_4_without_outputs(self, tmp_path, capsys):
         # Constant predictions break the imputed odds ratio on every trial

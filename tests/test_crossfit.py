@@ -7,6 +7,7 @@ import _reference as ref
 from ppboot import (
     BootstrapConfig,
     EstimandSpec,
+    EstimationError,
     LabeledDataset,
     LearnerSpec,
     RngStream,
@@ -18,7 +19,7 @@ from ppboot import (
     split_ppboot_interval,
     train_fold_models,
 )
-from ppboot.crossfit import KNearestLearner, LinearLeastSquaresLearner
+from ppboot.crossfit import KNearestLearner, LinearLeastSquaresLearner, LogisticLearner
 
 MEAN = EstimandSpec("mean")
 
@@ -116,6 +117,24 @@ class TestTrainFoldModels:
 
         with pytest.raises(Exception, match="fold 0"):
             train_fold_models(X, y, folds, FailingLearner())
+
+
+class TestLogisticLearnerFailures:
+    def test_separated_data_names_separation(self):
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        with pytest.raises(EstimationError, match="separation"):
+            LogisticLearner().fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
+
+    def test_duplicated_column_names_singular_design(self):
+        x = np.array([0.3, -1.2, 0.8, 2.0, -0.4, 1.1])
+        with pytest.raises(EstimationError, match="singular design"):
+            LogisticLearner().fit(np.column_stack([x, x]), np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
+
+    def test_fold_prefix_kept(self):
+        x = np.arange(8.0)
+        folds = partition_folds(8, 2, RngStream(12))
+        with pytest.raises(EstimationError, match=r"training failed on fold 0: .*singular design"):
+            train_fold_models(np.column_stack([x, x]), np.array([0, 1, 0, 1, 1, 0, 1, 0.0]), folds, LogisticLearner())
 
 
 class TestAssemble:
