@@ -11,8 +11,12 @@ combination, 0 falls back to the classical bootstrap of the labeled outcomes
 (the loop then resamples the labeled outcomes only), and ``tuned`` estimates
 the variance-minimizing multiplier from an initial bootstrap on disjoint
 streams.  Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`.  The interval is the percentile interval of the
-retained iteration values.
+:func:`resample_estimates`.  It checks each side (labeled outcomes, labeled
+predictions, unlabeled predictions) and sorts it by the canonical key of
+``estimators.canonical_rows``, the one place where row order is decided, once
+before its first draw; each attempt then gathers its canonical rows by sorting
+integer ranks, not rows, and runs the estimator kernel, which assumes them.
+The interval is the percentile interval of the retained iteration values.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset
 from .errors import NUMBER, EstimationError, check_config
-from .estimators import EstimandSpec, evaluate
+from .estimators import EstimandSpec, canonical_resampler, evaluate
 from .resampling import (
     PHASE_MAIN,
     PHASE_TUNING,
@@ -111,11 +115,6 @@ class BootstrapDraws:
     degenerate_iterations: int
 
 
-# Estimands that ignore the feature matrix; skipping the feature gather in the
-# resample loop roughly halves per-iteration cost for them.
-_OUTCOME_ONLY_KINDS = ("mean", "quantile")
-
-
 def _check_pair(labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, lam: float = 1.0) -> None:
     if unlabeled is None:
         if lam != 0.0:
@@ -146,23 +145,20 @@ def resample_estimates(
     ``(outcome,)`` or ``(outcome, labeled prediction, unlabeled prediction)``,
     and the number of dropped iterations.
     """
-    needs_features = spec.kind not in _OUTCOME_ONLY_KINDS
+    outcome = canonical_resampler(spec, labeled.features, labeled.outcomes)
+    if unlabeled is not None:
+        labeled_pred = canonical_resampler(spec, labeled.features, labeled.predictions)
+        unlabeled_pred = canonical_resampler(spec, unlabeled.features, unlabeled.predictions)
     rows = np.empty((B, 1 if unlabeled is None else 3))
     kept = dropped = 0
     for b in range(B):
         for r in range(max_degenerate_retries + 1):
             s = substream(b, r)
             if unlabeled is None:
-                li = draw_labeled_indices(labeled.n, s)
+                ests = [outcome(draw_labeled_indices(labeled.n, s))]
             else:
                 idx = draw_resample(labeled.n, unlabeled.N, s)
-                li, ui = idx.labeled_idx, idx.unlabeled_idx
-            Xli = labeled.features[li] if needs_features else None
-            sides = [(Xli, labeled.outcomes[li])]
-            if unlabeled is not None:
-                Xui = unlabeled.features[ui] if needs_features else None
-                sides += [(Xli, labeled.predictions[li]), (Xui, unlabeled.predictions[ui])]
-            ests = [evaluate(spec, X, y) for X, y in sides]
+                ests = [outcome(idx.labeled_idx), labeled_pred(idx.labeled_idx), unlabeled_pred(idx.unlabeled_idx)]
             if all(e.ok for e in ests):
                 rows[kept] = [e.value for e in ests]
                 kept += 1

@@ -27,6 +27,10 @@ TRAIN_SPLIT_TAG = 2
 
 LEARNER_KINDS = ("linear_least_squares", "logistic_irls", "knn")
 
+# KNearestLearner.predict takes queries in chunks whose (queries x training
+# rows x features) tensor holds about this many float64s (2 MB).
+KNN_CHUNK_ELEMENTS = 1 << 18
+
 Predictor = Callable[[np.ndarray], np.ndarray]
 
 
@@ -100,11 +104,16 @@ class KNearestLearner:
         y = np.asarray(outcomes, dtype=np.float64)
         k = min(self.k, X.shape[0])
 
+        chunk = max(1, KNN_CHUNK_ELEMENTS // max(1, X.size))
+
         def predict(queries: np.ndarray) -> np.ndarray:
             Q = np.asarray(queries, dtype=np.float64)
-            d2 = np.sum((Q[:, None, :] - X[None, :, :]) ** 2, axis=2)
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            return np.mean(y[nearest], axis=1)
+            out = np.empty(Q.shape[0])
+            for start in range(0, Q.shape[0], chunk):
+                d2 = np.sum((Q[start:start + chunk, None, :] - X[None, :, :]) ** 2, axis=2)
+                nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+                out[start:start + chunk] = np.mean(y[nearest], axis=1)
+            return out
 
         return predict
 

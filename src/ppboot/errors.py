@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the config-section check."""
 
 NUMBER = (int, float)
-SEQUENCE = (list, tuple)
 
 
 class PPBootError(Exception):
@@ -28,12 +27,13 @@ class EstimationError(PPBootError):
     """An estimate, tuning run, training run, or interval cannot be produced."""
 
 
-def check_config(raw: dict, types: dict[str, tuple[type, ...]], section: str) -> None:
+def check_config(raw: dict, types: dict[str, tuple[type, ...] | list[type]], section: str) -> None:
     """Reject unknown keys and wrongly typed values in one config section.
 
-    ``types`` maps every allowed key to the accepted value types; ``bool``
-    passes only where listed, although Python counts it as an ``int``.  The
-    ``ValueError`` names the section and the key.
+    ``types`` maps every allowed key to the accepted value types; a list of
+    types instead means a list or tuple whose entries have one of them.
+    ``bool`` passes only where listed, although Python counts it as an
+    ``int``.  The ``ValueError`` names the section and the key.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{section} config must be an object, got {raw!r}")
@@ -42,6 +42,10 @@ def check_config(raw: dict, types: dict[str, tuple[type, ...]], section: str) ->
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
     for key, value in raw.items():
         allowed = types[key]
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-            raise ValueError(f"{section} config key {key!r} must be {names}, got {value!r}")
+        checks = [(f"key {key!r}", value, (list, tuple) if isinstance(allowed, list) else allowed)]
+        if isinstance(allowed, list) and isinstance(value, (list, tuple)):
+            checks += [(f"key {key!r} entries", entry, tuple(allowed)) for entry in value]
+        for what, item, kinds in checks:
+            if not isinstance(item, kinds) or (isinstance(item, bool) and bool not in kinds):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
+                raise ValueError(f"{section} config {what} must be {names}, got {item!r}")

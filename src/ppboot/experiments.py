@@ -32,7 +32,7 @@ from .boot import (
 )
 from .crossfit import LearnerSpec, cross_ppboot_interval, make_learner, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
-from .errors import NUMBER, SEQUENCE, EstimationError, check_config
+from .errors import NUMBER, EstimationError, check_config
 from .estimators import EstimandSpec, evaluate
 from .resampling import PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
 
@@ -104,14 +104,10 @@ class SyntheticSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
         check_config(raw, {
-            "dgp": (str,), "total_rows": (int,), "coef": SEQUENCE, "noise_sd": NUMBER, "p": NUMBER,
-            "joint": SEQUENCE, "prediction_model": (str,), "rho": NUMBER, "offset": NUMBER,
-            "prediction_noise_sd": NUMBER, "seed_path": SEQUENCE,
+            "dgp": (str,), "total_rows": (int,), "coef": [*NUMBER], "noise_sd": NUMBER, "p": NUMBER,
+            "joint": [*NUMBER], "prediction_model": (str,), "rho": NUMBER, "offset": NUMBER,
+            "prediction_noise_sd": NUMBER, "seed_path": [int],
         }, "synthetic")
-        raw = dict(raw)
-        for key in ("coef", "joint", "seed_path"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
 
@@ -202,7 +198,7 @@ class TrialConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "TrialConfig":
         check_config(raw, {
-            "n_grid": SEQUENCE, "trials": (int,), "methods": SEQUENCE, "estimand": (dict,),
+            "n_grid": [int], "trials": (int,), "methods": [str], "estimand": (dict,),
             "bootstrap": (dict,), "display_trials": (int,), "crossfit": (dict,), "data": (dict,),
         }, "study")
         for key in ("n_grid", "trials", "methods", "estimand"):
@@ -366,26 +362,10 @@ RECORD_FIELDS = ("method", "n", "trial", "lower", "upper", "point")
 def summarize_to_tables(summary: TrialSummary) -> tuple[list[dict], list[dict]]:
     """Flatten a summary into aggregate rows and displayed-trial rows."""
     agg_rows = [
-        {
-            "method": a.method,
-            "n": a.n,
-            "coverage": a.coverage,
-            "mean_width": a.mean_width,
-            "ground_truth": summary.ground_truth,
-        }
+        {key: summary.ground_truth if key == "ground_truth" else getattr(a, key) for key in AGGREGATE_FIELDS}
         for a in summary.aggregates
     ]
-    trial_rows = [
-        {
-            "method": r.method,
-            "n": r.n,
-            "trial": r.trial,
-            "lower": r.lower,
-            "upper": r.upper,
-            "point": r.point,
-        }
-        for r in summary.records
-    ]
+    trial_rows = [{key: getattr(r, key) for key in RECORD_FIELDS} for r in summary.records]
     return agg_rows, trial_rows
 
 
@@ -448,6 +428,7 @@ def width_inversions(summary: TrialSummary, method: str) -> int:
 
 def dataset_from_config(raw: dict, seed: int) -> LabeledDataset:
     """Build the study's full dataset from the 'data' section of a config."""
+    check_config(raw, {"synthetic": (dict,), "csv": (dict,)}, "data")
     if "synthetic" in raw and "csv" in raw:
         raise ValueError("data config must contain exactly one of 'synthetic' or 'csv'")
     if "synthetic" in raw:
@@ -455,6 +436,7 @@ def dataset_from_config(raw: dict, seed: int) -> LabeledDataset:
         return generate_synthetic(spec, RngStream(seed, (PHASE_SYNTHETIC,)))
     if "csv" in raw:
         src = raw["csv"]
+        check_config(src, {"path": (str,), "schema": (dict,)}, "csv")
         for key in ("path", "schema"):
             if key not in src:
                 raise ValueError(f"csv data config requires {key!r}")

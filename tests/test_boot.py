@@ -20,6 +20,7 @@ from ppboot import (
     ppboot_point_estimate,
     tune_lambda,
 )
+from ppboot.boot import resample_estimates
 from ppboot.resampling import PHASE_TUNING
 from conftest import make_pair
 
@@ -198,6 +199,25 @@ class TestDegenerateHandling:
         labeled, _ = make_pair()
         with pytest.raises(ValueError, match="unlabeled data is required"):
             ppboot_interval(labeled, None, MEAN, BootstrapConfig(B=10, lambda_mode=mode), stream)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param(EstimandSpec("logistic_coef"), "outcomes must contain only 0/1 values", id="non-binary-predictions"),
+        pytest.param(EstimandSpec("ols_coef", target_index=1), r"target_index 1 outside \[0, 1\)", id="target-index"),
+    ])
+    def test_loop_raises_before_the_first_draw(self, spec, message):
+        labeled = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 1.0, 1.0])
+        unlabeled = UnlabeledDataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0])
+        drawn = []
+
+        def substream(b, r):
+            drawn.append((b, r))
+            return RngStream(0, (b, r))
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            resample_estimates(labeled, unlabeled, spec, 10, substream, 2)
+        assert drawn == []
 
 
 class TestTuneLambda:

@@ -201,6 +201,25 @@ class TestStudy:
         pytest.param({"estimand": {"kind": "mean", "q": "0.5"}}, "'q'", id="string-q"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": "10000"}}},
                      "'total_rows'", id="string-total-rows"),
+        pytest.param({"n_grid": [50.9]}, "'n_grid'", id="float-n"),
+        pytest.param({"n_grid": ["50"]}, "'n_grid'", id="string-n"),
+        pytest.param({"n_grid": [True]}, "'n_grid'", id="bool-n"),
+        pytest.param({"methods": ["ppboot", 1]}, "'methods'", id="int-method"),
+        pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [1.5]}}},
+                     "'seed_path'", id="float-seed-path"),
+        pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [False]}}},
+                     "'seed_path'", id="bool-seed-path"),
+        pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": ["1.5"]}}},
+                     "'coef'", id="string-coef"),
+        pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": [True]}}},
+                     "'coef'", id="bool-coef"),
+        pytest.param({"data": {"synthetic": {"dgp": "binary_pair", "total_rows": 400,
+                                             "joint": ["0.25", "0.25", "0.25", "0.25"]}}},
+                     "'joint'", id="string-joint"),
+        pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400}, "extra": 1}},
+                     "'extra'", id="unknown-data-key"),
+        pytest.param({"data": {"csv": {"path": "data.csv", "schema": {}, "delimiter": ";"}}},
+                     "'delimiter'", id="unknown-csv-key"),
     ])
     def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys, overrides, named):
         cfg = study_config(tmp_path, **overrides)

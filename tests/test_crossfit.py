@@ -1,5 +1,7 @@
 """Fold partitioning, learner plumbing, and cross-fitted intervals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,31 @@ class TestLogisticLearnerFailures:
         folds = partition_folds(8, 2, RngStream(12))
         with pytest.raises(EstimationError, match=r"training failed on fold 0: .*singular design"):
             train_fold_models(np.column_stack([x, x]), np.array([0, 1, 0, 1, 1, 0, 1, 0.0]), folds, LogisticLearner())
+
+
+class TestKNearestPredict:
+    def test_chunked_rows_match_one_query_at_a_time(self):
+        g = np.random.default_rng(40)
+        X = np.round(g.standard_normal((500, 5)), 1)
+        predict = KNearestLearner(5).fit(X, g.standard_normal(500))
+        queries = np.round(g.standard_normal((250, 5)), 1)  # several chunks, ragged tail
+        one_by_one = np.concatenate([predict(queries[i:i + 1]) for i in range(250)])
+        assert predict(queries).tobytes() == one_by_one.tobytes()
+
+    def test_memory_is_bounded(self):
+        # The full query x training x feature tensor would take
+        # 5000 * 500 * 5 * 8 bytes = 100 MB.
+        g = np.random.default_rng(41)
+        predict = KNearestLearner(5).fit(g.standard_normal((500, 5)), g.standard_normal(500))
+        queries = g.standard_normal((5000, 5))
+        tracemalloc.start()
+        try:
+            predictions = predict(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert predictions.shape == (5000,)
+        assert peak < 20 * 2**20
 
 
 class TestAssemble:

@@ -1,0 +1,163 @@
+"""Property-based checks of the invariants the resample loop relies on.
+
+Data are small and drawn from a handful of values, so ties, duplicate rows and
+0/1 columns are the rule rather than the exception.  Results are compared bit
+for bit, never with a tolerance.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppboot import (
+    BootstrapConfig,
+    EstimandSpec,
+    EstimationError,
+    LabeledDataset,
+    RngStream,
+    UnlabeledDataset,
+    classical_bootstrap_interval,
+    evaluate,
+    ppboot_draws,
+    ppboot_interval,
+)
+from ppboot.estimators import ESTIMAND_KINDS, canonical_resampler
+from ppboot.resampling import PHASE_MAIN, draw_labeled_indices
+
+VALUES = (-1.5, 0.0, 0.5, 1.0, 2.25)
+BINARY = (0.0, 1.0)
+# -0.0 ties with 0.0 in every comparison but not in its bits.
+SIGNED_VALUES = VALUES + (-0.0,)
+SIGNED_BINARY = BINARY + (-0.0,)
+RETRIES = 3
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def same_estimate(a, b) -> bool:
+    return bits(a.value) == bits(b.value) and a.reason == b.reason
+
+
+@st.composite
+def table(draw, rows: int, binary: list[bool], signed_zeros: bool) -> np.ndarray:
+    """``rows`` rows drawn with replacement from a few distinct ones."""
+    values, binary_values = (SIGNED_VALUES, SIGNED_BINARY) if signed_zeros else (VALUES, BINARY)
+    row = st.tuples(*(st.sampled_from(binary_values if b else values) for b in binary))
+    distinct = draw(st.lists(row, min_size=1, max_size=rows))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=rows, max_size=rows))
+    return np.array([distinct[i] for i in picks], dtype=np.float64)
+
+
+@st.composite
+def problems(draw, signed_zeros: bool = False):
+    """An estimand spec plus a labeled/unlabeled pair it accepts."""
+    kind = draw(st.sampled_from(ESTIMAND_KINDS))
+    d = draw(st.integers(1, 3))
+    spec = EstimandSpec(
+        kind,
+        q=draw(st.sampled_from((0.1, 0.3, 0.5, 0.9))),
+        target_index=draw(st.integers(0, d - 1)),
+        intercept=draw(st.booleans()),
+        feature_column=draw(st.integers(0, d - 1)),
+    )
+    binary_y = kind in ("logistic_coef", "log_odds_ratio") or draw(st.booleans())
+    binary_x = [(kind == "log_odds_ratio" and j == 0) or draw(st.booleans()) for j in range(d)]
+    n = draw(st.integers(d + 3, 12))
+    N = draw(st.integers(4, 14))
+    lab = draw(table(n, binary_x + [binary_y, binary_y], signed_zeros))
+    unl = draw(table(N, binary_x + [binary_y], signed_zeros))
+    return spec, LabeledDataset(lab[:, :d], lab[:, d], lab[:, d + 1]), UnlabeledDataset(unl[:, :d], unl[:, d])
+
+
+def interval_or_error(*args):
+    try:
+        return ppboot_interval(*args)
+    except EstimationError as exc:
+        return str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.randoms(use_true_random=False))
+def test_evaluate_is_invariant_to_row_order(problem, rnd):
+    spec, labeled, _ = problem
+    perm = list(range(labeled.n))
+    rnd.shuffle(perm)
+    X, y = labeled.features, labeled.outcomes
+    assert same_estimate(evaluate(spec, X, y), evaluate(spec, X[perm], y[perm]))
+
+
+@PROPERTY_SETTINGS
+@given(problems(signed_zeros=True), st.randoms(use_true_random=False))
+def test_evaluate_ignores_row_order_and_zero_signs(problem, rnd):
+    spec, labeled, _ = problem
+    perm = list(range(labeled.n))
+    rnd.shuffle(perm)
+    X, y = labeled.features, labeled.outcomes
+    flipped = [np.where(a == 0.0, -np.copysign(0.0, a), a) for a in (X[perm], y[perm])]
+    assert same_estimate(evaluate(spec, X, y), evaluate(spec, *flipped))
+
+
+@PROPERTY_SETTINGS
+@given(problems(signed_zeros=True), st.data())
+def test_canonical_gather_equals_evaluate_on_the_resample(problem, data):
+    spec, labeled, unlabeled = problem
+    sides = [
+        (labeled.features, labeled.outcomes),
+        (labeled.features, labeled.predictions),
+        (unlabeled.features, unlabeled.predictions),
+    ]
+    for X, y in sides:
+        estimate = canonical_resampler(spec, X, y)
+        m = y.size
+        for _ in range(4):
+            idx = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), dtype=np.intp)
+            assert same_estimate(estimate(idx), evaluate(spec, X[idx], y[idx]))
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(0, 2**32))
+def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
+    spec, labeled, unlabeled = problem
+    stream = RngStream(seed)
+    B = 25
+    # A plain classical bootstrap: the estimator on each labeled resample,
+    # redrawn on degeneracy exactly as the main loop does.
+    expected = []
+    for b in range(B):
+        for r in range(RETRIES + 1):
+            li = draw_labeled_indices(labeled.n, stream.child(PHASE_MAIN, b, r))
+            est = evaluate(spec, labeled.features[li], labeled.outcomes[li])
+            if est.ok:
+                expected.append(bits(est.value))
+                break
+    draws = ppboot_draws(labeled, unlabeled, spec, 0.0, B, stream, RETRIES)
+    assert [bits(v) for v in draws.values] == expected
+    assert draws.degenerate_iterations == B - len(expected)
+
+    cfg = BootstrapConfig(B=B, lambda_mode="fixed", lambda_value=0.0, max_degenerate_retries=RETRIES)
+    assert interval_or_error(labeled, unlabeled, spec, cfg, stream) == interval_or_error(
+        labeled, None, spec, cfg, stream
+    )
+    try:
+        classical = classical_bootstrap_interval(labeled, spec, cfg, stream)
+    except EstimationError as exc:
+        classical = str(exc)
+    assert interval_or_error(labeled, unlabeled, spec, cfg, stream) == classical
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(0, 2**32), st.sampled_from(("off", "fixed", "tuned")))
+def test_interval_endpoints_are_draw_values(problem, seed, mode):
+    spec, labeled, unlabeled = problem
+    stream = RngStream(seed)
+    cfg = BootstrapConfig(B=30, alpha=0.2, lambda_mode=mode, lambda_value=0.6, max_degenerate_retries=RETRIES)
+    ci = interval_or_error(labeled, unlabeled, spec, cfg, stream)
+    if isinstance(ci, str):
+        return
+    draws = ppboot_draws(labeled, unlabeled, spec, ci.lambda_used, cfg.B, stream, RETRIES)
+    values = {bits(v) for v in draws.values}
+    assert bits(ci.lower) in values and bits(ci.upper) in values
+    assert ci.lower <= ci.upper
