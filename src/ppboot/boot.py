@@ -11,12 +11,15 @@ combination, 0 falls back to the classical bootstrap of the labeled outcomes
 (the loop then resamples the labeled outcomes only), and ``tuned`` estimates
 the variance-minimizing multiplier from an initial bootstrap on disjoint
 streams.  Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`.  It checks each side (labeled outcomes, labeled
-predictions, unlabeled predictions) and sorts it by the canonical key of
-``estimators.canonical_rows``, the one place where row order is decided, once
-before its first draw; each attempt then gathers its canonical rows by sorting
-integer ranks, not rows, and runs the estimator kernel, which assumes them.
-The interval is the percentile interval of the retained iteration values.
+:func:`resample_estimates`.  Before its first draw it checks each side
+(labeled outcomes, labeled predictions, unlabeled predictions) once and, for
+the feature-keyed estimands, merges the rows that tie on the canonical key of
+``estimators.canonical_rows`` into weighted rows and builds the design.  Each
+attempt then turns its drawn indices into counts over those merged rows and
+runs the weighted estimator kernel on the rows drawn at least once.  Mean and
+quantile evaluate the drawn values directly (sorted sum, selected order
+statistic).  The interval is the percentile interval of the retained
+iteration values.
 """
 
 from __future__ import annotations

@@ -106,17 +106,23 @@ def _check_schema(schema: dict, *, need_outcome: bool, need_prediction: bool) ->
 
 
 def _parse_column(rows: list[list[str]], col: int, name: str, path: str) -> np.ndarray:
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        cell = row[col]
+    """One column as floats, parsed in one pass and checked in one call."""
+    cells = [row[col] for row in rows]
+    try:
+        out = np.fromiter(map(float, cells), np.float64, len(cells))
+        if np.all(np.isfinite(out)):
+            return out
+    except ValueError:
+        pass
+    # The column has a bad cell: report the first one, as a cell-by-cell
+    # parse meets it.
+    for i, cell in enumerate(cells):
         try:
             value = float(cell)
         except ValueError as exc:
             raise ParseError(f"{path}: cannot parse {cell!r} at row {i + 1}, column {name!r}") from exc
         if not np.isfinite(value):
             raise ValidationError(f"{path}: non-finite value {cell!r} at row {i + 1}, column {name!r}")
-        out[i] = value
-    return out
 
 
 def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: bool = True):

@@ -2,12 +2,19 @@
 
 An estimate takes three steps.  :func:`check_args` is the one argument check:
 wrong shapes, empty input or non-binary data raise ``ValueError`` there.
-:func:`canonical_rows` is the one place where row order is decided, so every
-result depends only on the row multiset.  :func:`kernel` computes the estimate
-and assumes canonical rows: it neither checks nor sorts.  Conditions that make
-the target ill-defined on a sample (singular design, separation, constant
-variables) are reported through the degenerate flag rather than raised, so
-bootstrap loops can redraw.
+:func:`canonical_rows` is the one place where row order is decided: for the
+feature-keyed estimands (Pearson, log odds ratio, OLS, logistic) it sorts the
+rows by their key and merges the rows that tie into one row with an integer
+weight.  :func:`kernel` computes the estimate from the merged rows and their
+weights, so every result depends only on the row multiset.  A bootstrap
+resample is then a vector of counts over a dataset's merged rows
+(:func:`canonical_resampler`), and a kernel costs the distinct drawn rows, not
+the drawn rows.  Mean and quantile stay on the drawn values: the mean's bits
+are those of the sum of the sorted values, which a weighted sum would not
+reproduce, and the quantile only needs one order statistic.  Conditions that
+make the target ill-defined on a sample (singular design, separation,
+constant variables) are reported through the degenerate flag rather than
+raised, so bootstrap loops can redraw.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ ESTIMAND_KINDS = (
     "pearson_corr",
 )
 REPORT_TRANSFORMS = ("identity", "exp", "fisher_z_inverse")
+# Estimands of the outcomes alone; the others read feature columns too.
+OUTCOME_ONLY_KINDS = ("mean", "quantile")
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -103,17 +112,18 @@ def _require_column(index: int, name: str, X: np.ndarray) -> None:
         raise ValueError(f"{name} {index} outside [0, {X.shape[1]})")
 
 
-def check_args(spec: EstimandSpec, features, outcomes) -> tuple[np.ndarray, np.ndarray]:
+def check_args(spec: EstimandSpec, features, outcomes) -> tuple[np.ndarray | None, np.ndarray]:
     """The one argument check: ``(features, outcomes)`` as float arrays, or ``ValueError``.
 
-    Mean and quantile never read ``features`` (it may be ``None``).  A resample
-    keeps its source's shape and a subset of its values, so one check covers it.
+    Mean and quantile never read ``features`` (it may be ``None``, and comes
+    back as ``None``).  A resample keeps its source's shape and a subset of
+    its values, so one check covers it.
     """
-    if spec.kind in ("mean", "quantile"):
+    if spec.kind in OUTCOME_ONLY_KINDS:
         y = _as_array(outcomes, "outcomes", 1)
         if y.size < 1:
             raise ValueError("outcomes must be non-empty")
-        return np.empty((y.size, 0)), y
+        return None, y
     X = _as_array(features, "features", 2)
     if spec.kind == "log_odds_ratio":
         _require_column(spec.exposure_column, "exposure_column", X)
@@ -139,21 +149,35 @@ def check_args(spec: EstimandSpec, features, outcomes) -> tuple[np.ndarray, np.n
     return X, y
 
 
-def canonical_rows(spec: EstimandSpec, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one place where row order is decided: ``(order, X_key, y_key)``, sorted.
+def canonical_rows(spec: EstimandSpec, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one place where row order is decided and tied rows merge: ``(row_id, X_rows, y_rows, weights)``.
 
-    The key is y, then the feature columns ``spec`` reads (none for mean and
-    quantile, one for Pearson and the log odds ratio, all for OLS and
-    logistic); ``X_key`` keeps only those.  Rows tying on the key are equal in
-    all a kernel reads, so every result is a function of the row multiset.
+    For the feature-keyed estimands only.  The key is y, then the feature
+    columns ``spec`` reads (one for Pearson and the log odds ratio, all for
+    OLS and logistic).  Rows tying on the key are equal in all a kernel reads,
+    so they merge into one row of ``(X_rows, y_rows)``, in key order, whose
+    integer weight counts them; ``row_id[i]`` is the merged row of input row
+    ``i``.  Every result is therefore a function of the row multiset.  For OLS
+    and logistic, ``X_rows`` is the design: the intercept column is added here.
     """
-    columns = {"mean": [], "quantile": [], "pearson_corr": [spec.feature_column],
+    columns = {"pearson_corr": [spec.feature_column],
                "log_odds_ratio": [spec.exposure_column]}.get(spec.kind, range(X.shape[1]))
     # Adding 0.0 turns -0.0 into 0.0: signed zeros tie in the key but differ
     # in bits, and their sign can steer the linear algebra.
     X_key, y = X[:, list(columns)] + 0.0, y + 0.0
     order = np.lexsort([*X_key.T[::-1], y])
-    return order, X_key[order], y[order]
+    X_key, y = X_key[order], y[order]
+    new = np.empty(y.size, dtype=bool)
+    new[0] = True
+    new[1:] = (y[1:] != y[:-1]) | np.any(X_key[1:] != X_key[:-1], axis=1)
+    first = np.flatnonzero(new)
+    row_id = np.empty(y.size, dtype=np.intp)
+    row_id[order] = np.cumsum(new) - 1
+    weights = np.diff(np.append(first, y.size))
+    X_rows = X_key[first]
+    if spec.kind in ("ols_coef", "logistic_coef") and spec.intercept:
+        X_rows = with_intercept(X_rows)
+    return row_id, X_rows, y[first], weights
 
 
 def with_intercept(X: np.ndarray) -> np.ndarray:
@@ -162,35 +186,47 @@ def with_intercept(X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|eta|) never overflows; both branches are the textbook forms
+    # 1 / (1 + exp(-eta)) and exp(eta) / (1 + exp(eta)), bit for bit.
+    t = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, t) / (1.0 + t)
 
 
-def fit_logistic(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+def _rank_cut(design: np.ndarray, w: np.ndarray) -> float:
+    """numpy's default ``lstsq`` cut, ``eps * max(rows, columns)``, for the expanded rows.
+
+    Scaling row ``i`` by ``sqrt(w[i])`` gives the singular values of the
+    design with row ``i`` repeated ``w[i]`` times, so with this cut the rank
+    of the scaled rows is the rank of the expanded ones.
+    """
+    return np.finfo(np.float64).eps * max(np.sum(w), design.shape[1])
+
+
+def fit_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray | None, str | None]:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
-    Returns ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed.
-    Converges when the largest absolute coefficient change drops below
-    ``IRLS_TOL`` or after ``IRLS_MAX_ITER`` iterations.  A coefficient escaping
-    ``SEPARATION_BOUND`` during iteration is treated as separation.
+    Row ``i`` counts ``w[i]`` times (all once by default).  Returns
+    ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed: a
+    design without full column rank (the test of ``ols_coef``) is a
+    "singular design".  IRLS starts from zero and converges when the largest
+    absolute coefficient change drops below ``IRLS_TOL`` or after
+    ``IRLS_MAX_ITER`` iterations.  A coefficient escaping ``SEPARATION_BOUND``
+    during iteration is treated as separation.
     """
+    w = np.ones(y.size) if w is None else w
+    if np.linalg.matrix_rank(design * np.sqrt(w)[:, None], rtol=_rank_cut(design, w)) < design.shape[1]:
+        return None, "singular design"
     beta = np.zeros(design.shape[1])
-    for iteration in range(IRLS_MAX_ITER):
+    for _ in range(IRLS_MAX_ITER):
         mu = _sigmoid(design @ beta)
-        w = mu * (1.0 - mu)
-        hessian = design.T @ (design * w[:, None])
-        score = design.T @ (y - mu)
+        hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, None])
+        score = design.T @ (w * (y - mu))
         try:
             step = np.linalg.solve(hessian, score)
         except np.linalg.LinAlgError:
-            # Uniform weights at the start: a singular Hessian there means the
-            # design itself is rank-deficient.  Later, the fitted probabilities
-            # saturated the weights to zero, which only happens under separation.
-            return None, "singular design" if iteration == 0 else "separation"
+            # The design has full rank, so the fitted probabilities
+            # saturated the weights to zero: separation.
+            return None, "separation"
         beta = beta + step
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             return None, "separation"
@@ -199,70 +235,84 @@ def fit_logistic(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray | None, 
     return beta, None
 
 
-def kernel(spec: EstimandSpec, X: np.ndarray, y: np.ndarray) -> EstimateValue:
-    """The estimator of ``spec`` on the ``(X_key, y_key)`` of :func:`canonical_rows`.
+def kernel(spec: EstimandSpec, X: np.ndarray | None, y: np.ndarray, w: np.ndarray | None) -> EstimateValue:
+    """The estimator of ``spec``; it neither checks nor merges.
 
-    The rows must already be checked and in canonical order; kernels never check or sort.
+    Mean and quantile read the sample values ``y`` in any order (``X`` and
+    ``w`` are unused): the mean sums them sorted, the quantile selects its
+    order statistic in place.  They are never merged, because a weighted sum
+    would not give the bits of the sorted sum.  The other four take the merged
+    rows ``(X, y)`` of :func:`canonical_rows` with integer weights ``w``.
     """
     if spec.kind == "mean":
-        # y is sorted, so the float sum does not depend on the input order.
-        return EstimateValue(float(np.sum(y)) / y.size)
+        # Sorted, so the float sum does not depend on the input order.
+        return EstimateValue(float(np.sum(np.sort(y))) / y.size)
     if spec.kind == "quantile":
-        return EstimateValue(float(y[nearest_rank_index(spec.q, y.size)]))
+        k = nearest_rank_index(spec.q, y.size)
+        return EstimateValue(float(np.partition(y, k)[k]))
+    w = w.astype(np.float64)  # one cast here, not one per weighted operation
     if spec.kind == "log_odds_ratio":
         e = X[:, 0]
-        n11, n10, n01, n00 = (float(np.sum((e == a) & (y == b))) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
+        # Sums of integer-valued weights, so the table is exact.
+        n11, n10, n01, n00 = (float(np.sum(w[(e == a) & (y == b)])) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
         reason = None
         if min(n11, n10, n01, n00) == 0.0:
             n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
             reason = "zero cell corrected"
         return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
     if spec.kind == "pearson_corr":
-        xc = X[:, 0] - np.mean(X[:, 0])
-        yc = y - np.mean(y)
-        denom = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc))
+        # np.sum, not np.dot: BLAS splits long dot products across its
+        # threads, which would tie the bits to the thread count.
+        total = np.sum(w)
+        xc = X[:, 0] - np.sum(w * X[:, 0]) / total
+        yc = y - np.sum(w * y) / total
+        wxc = w * xc
+        denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
         if denom == 0.0:
             return EstimateValue(float("nan"), "constant variable")
-        return EstimateValue(float(np.dot(xc, yc) / denom))
-    design = with_intercept(X) if spec.intercept else X
+        return EstimateValue(float(np.sum(wxc * yc) / denom))
     if spec.kind == "ols_coef":
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        reason = "singular design" if rank < design.shape[1] else None
+        root = np.sqrt(w)
+        beta, _, rank, _ = np.linalg.lstsq(X * root[:, None], y * root, rcond=_rank_cut(X, w))
+        reason = "singular design" if rank < X.shape[1] else None
     elif np.all(y == y[0]):
         beta, reason = None, "constant outcome"
     else:
-        beta, reason = fit_logistic(design, y)
+        beta, reason = fit_logistic(X, y, w)
     if reason is not None:
         return EstimateValue(float("nan"), reason)
     return EstimateValue(float(beta[spec.target_index]))
 
 
 def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:
-    """Apply the estimator of ``spec`` to one dataset (outcomes or predictions): check, sort, kernel."""
+    """Apply the estimator of ``spec`` to one dataset (outcomes or predictions): check, merge, kernel."""
     X, y = check_args(spec, features, outcomes)
-    _, X_key, y_key = canonical_rows(spec, X, y)
-    return kernel(spec, X_key, y_key)
+    if spec.kind in OUTCOME_ONLY_KINDS:
+        return kernel(spec, None, y + 0.0, None)
+    _, X_rows, y_rows, w = canonical_rows(spec, X, y)
+    return kernel(spec, X_rows, y_rows, w)
 
 
 def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Callable[[np.ndarray], EstimateValue]:
-    """Check and sort one dataset once; return ``idx -> evaluate(spec, X[idx], y[idx])``.
+    """Check and merge one dataset once; return ``idx -> evaluate(spec, X[idx], y[idx])``.
 
-    A resample's canonical rows are the sorted dataset's rows at the sorted
-    ranks of the drawn rows, so the function sorts integers, not rows, and
-    gives :func:`evaluate`'s bits.  When y is the whole key, sorting the drawn
-    values themselves is cheaper still.
+    A resample of the feature-keyed estimands is a vector of counts over the
+    merged rows: ``bincount(row_id[idx])``.  The rows it draws, with their
+    counts as weights, are exactly the merged rows of the resample, so the
+    function gives :func:`evaluate`'s bits without sorting or merging.  Mean
+    and quantile take the drawn values themselves.
     """
     X, y = check_args(spec, features, outcomes)
-    order, X_key, y_key = canonical_rows(spec, X, y)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    if X_key.shape[1] == 0:
-        y_by_row = y_key[rank]
-        return lambda idx: kernel(spec, np.empty((idx.size, 0)), np.sort(y_by_row[idx]))
+    if spec.kind in OUTCOME_ONLY_KINDS:
+        values = y + 0.0
+        return lambda idx: kernel(spec, None, values[idx], None)
+    row_id, X_rows, y_rows, _ = canonical_rows(spec, X, y)
 
     def estimate(idx: np.ndarray) -> EstimateValue:
-        rows = np.sort(rank[idx])
-        return kernel(spec, X_key[rows], y_key[rows])
+        counts = np.bincount(row_id[idx], minlength=y_rows.size)
+        # take() gathers rows several times faster than fancy indexing.
+        drawn = np.flatnonzero(counts > 0)
+        return kernel(spec, X_rows.take(drawn, axis=0), y_rows.take(drawn), counts.take(drawn))
 
     return estimate
 

@@ -183,6 +183,9 @@ class TrialConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.n_grid:
             raise ValueError("n_grid must be non-empty")
+        for n in self.n_grid:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"n_grid entries must be integers, got {n!r}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
@@ -192,7 +195,7 @@ class TrialConfig:
                 raise ValueError(f"method {m!r} supports the mean estimand only")
         if self.display_trials < 0:
             raise ValueError("display_trials must be >= 0")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @classmethod

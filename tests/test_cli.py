@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import ppboot
 from ppboot.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -253,3 +257,39 @@ class TestStudy:
         assert code == 4
         assert "imputed" in err
         assert not out_dir.exists()
+
+
+class TestBlasThreads:
+    """Reports do not depend on how many threads the BLAS library runs."""
+
+    @pytest.mark.parametrize("estimand", ["ols_coef", "logistic_coef", "pearson_corr"])
+    def test_infer_output_is_byte_identical(self, tmp_path, estimand):
+        g = np.random.default_rng(23)
+        # Over 10^4 unlabeled rows: OpenBLAS threads dot products that long.
+        rows = 10_400
+        X = g.standard_normal((rows, 3))
+        eta = X @ np.array([0.8, -0.5, 0.3])
+        if estimand == "logistic_coef":
+            y = (g.random(rows) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        else:
+            y = eta + g.standard_normal(rows)
+        fhat = np.where(g.random(rows) < 0.9, y, y[::-1])
+        table = np.column_stack([X, y, fhat])
+        labeled, unlabeled = tmp_path / "l.csv", tmp_path / "u.csv"
+        np.savetxt(labeled, table[:200], fmt="%.10g", delimiter=",", header="x1,x2,x3,y,fhat", comments="")
+        np.savetxt(unlabeled, table[200:][:, [0, 1, 2, 4]], fmt="%.10g", delimiter=",", header="x1,x2,x3,fhat", comments="")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"outcome": "y", "prediction": "fhat", "features": ["x1", "x2", "x3"]}))
+        argv = infer_args(**{"--labeled": labeled, "--unlabeled": unlabeled, "--schema": schema,
+                             "--estimand": estimand, "--target-index": "0", "--B": "40"})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ppboot.__file__)))
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-m", "ppboot.cli", *argv], env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["estimand"] == estimand

@@ -59,6 +59,23 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="row 1"):
             load_csv(path, SCHEMA_1D, expect="labeled")
 
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            pytest.param("1,2,2.5\n2,inf,3.5\n3,abc,6.5\n", ValidationError,
+                         "non-finite value 'inf' at row 2, column 'y'", id="non-finite-first"),
+            pytest.param("1,2,2.5\n2,abc,3.5\n3,-inf,6.5\n", ParseError,
+                         "cannot parse 'abc' at row 2, column 'y'", id="unparsable-first"),
+            pytest.param("1,nan,2.5\n2,4,x\nz,6,6.5\n", ParseError,
+                         "cannot parse 'z' at row 3, column 'x'", id="features-before-outcome"),
+        ],
+    )
+    def test_first_bad_cell_is_reported(self, tmp_path, body, error, message):
+        path = _write(tmp_path, "b.csv", "x,y,fhat\n" + body)
+        with pytest.raises(error) as info:
+            load_csv(path, SCHEMA_1D, expect="labeled")
+        assert str(info.value) == f"{path}: {message}"
+
     def test_ragged_row_rejected(self, tmp_path):
         path = _write(tmp_path, "r.csv", "x,y,fhat\n1,2\n2,4,3.5\n")
         with pytest.raises(ParseError, match="row 1"):

@@ -15,6 +15,7 @@ from ppboot import (
     est_quantile,
     evaluate,
 )
+from ppboot.estimators import _sigmoid, canonical_resampler
 from _reference import grid_logistic_slope
 
 
@@ -247,3 +248,41 @@ class TestEvaluateDispatch:
         X = np.zeros((5, 2))
         with pytest.raises(ValueError):
             evaluate(EstimandSpec("ols_coef", target_index=2), X, np.arange(5.0))
+
+
+def masked_sigmoid(eta: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean masks: each sign gets the form that cannot overflow."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_the_masked_formula(self):
+        special = np.array([0.0, 1e-300, 1.0, 36.0, 709.0, 745.0, 1e308])
+        grid = np.random.default_rng(13).normal(0.0, 20.0, 100_000)
+        eta = np.concatenate([special, np.negative(special), grid])
+        assert _sigmoid(eta).tobytes() == masked_sigmoid(eta).tobytes()
+
+
+class TestSingularDesign:
+    """A rank-deficient design stays flagged once rows are merged and weighted."""
+
+    @pytest.mark.parametrize("kind", ["ols_coef", "logistic_coef"])
+    @pytest.mark.parametrize("column", ["duplicate", "ones", "zeros"])
+    def test_flagged_by_evaluate_and_resampler(self, kind, column):
+        g = np.random.default_rng(17)
+        m = 40
+        x = g.standard_normal(m)
+        extra = {"duplicate": x.copy(), "ones": np.ones(m), "zeros": np.zeros(m)}[column]
+        X = np.column_stack([x, extra])
+        y = np.tile([0.0, 1.0], m // 2)
+        spec = EstimandSpec(kind, target_index=0, intercept=True)
+        assert evaluate(spec, X, y).reason == "singular design"
+        estimate = canonical_resampler(spec, X, y)
+        for _ in range(5):
+            idx = g.integers(0, m, m)
+            assert estimate(idx).reason == "singular design"

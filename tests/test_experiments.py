@@ -238,6 +238,11 @@ class TestStudyFromConfig:
             study_from_config({"n_grid": [5], "trials": 1, "methods": ["ppboot"],
                                "estimand": {"kind": "mean"}}, seed=0)
 
+    @pytest.mark.parametrize("n", [50.9, True], ids=["float", "bool"])
+    def test_non_integer_n_grid_rejected(self, n):
+        with pytest.raises(ValueError, match="n_grid"):
+            _study_config(n_grid=(n,))
+
     def test_mean_only_methods_validated(self):
         with pytest.raises(ValueError):
             TrialConfig(

@@ -2,8 +2,11 @@
 
 Data are small and drawn from a handful of values, so ties, duplicate rows and
 0/1 columns are the rule rather than the exception.  Results are compared bit
-for bit, never with a tolerance.
+for bit, except that weighted kernels on merged rows are compared with the
+same estimators on the unmerged rows at 1e-12.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +24,14 @@ from ppboot import (
     ppboot_draws,
     ppboot_interval,
 )
-from ppboot.estimators import ESTIMAND_KINDS, canonical_resampler
+from ppboot.estimators import (
+    ESTIMAND_KINDS,
+    OUTCOME_ONLY_KINDS,
+    EstimateValue,
+    canonical_resampler,
+    fit_logistic,
+    with_intercept,
+)
 from ppboot.resampling import PHASE_MAIN, draw_labeled_indices
 
 VALUES = (-1.5, 0.0, 0.5, 1.0, 2.25)
@@ -31,6 +41,10 @@ SIGNED_VALUES = VALUES + (-0.0,)
 SIGNED_BINARY = BINARY + (-0.0,)
 RETRIES = 3
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# The estimands whose rows merge into weighted rows, and more examples for
+# them: the estimates are cheap, and many small samples are degenerate.
+MERGED_KINDS = tuple(k for k in ESTIMAND_KINDS if k not in OUTCOME_ONLY_KINDS)
+MERGE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=200)
 
 
 def bits(value: float) -> bytes:
@@ -39,6 +53,11 @@ def bits(value: float) -> bytes:
 
 def same_estimate(a, b) -> bool:
     return bits(a.value) == bits(b.value) and a.reason == b.reason
+
+
+def close_estimate(a, b, tol: float = 1e-12) -> bool:
+    both_nan = math.isnan(a.value) and math.isnan(b.value)
+    return a.reason == b.reason and (both_nan or abs(a.value - b.value) <= tol)
 
 
 @st.composite
@@ -70,6 +89,33 @@ def problems(draw, signed_zeros: bool = False):
     lab = draw(table(n, binary_x + [binary_y, binary_y], signed_zeros))
     unl = draw(table(N, binary_x + [binary_y], signed_zeros))
     return spec, LabeledDataset(lab[:, :d], lab[:, d], lab[:, d + 1]), UnlabeledDataset(unl[:, :d], unl[:, d])
+
+
+@st.composite
+def repeated_rows(draw):
+    """A feature-keyed estimand spec plus distinct rows, each repeated a few times."""
+    kind = draw(st.sampled_from(MERGED_KINDS))
+    d = draw(st.integers(1, 3))
+    spec = EstimandSpec(
+        kind,
+        target_index=draw(st.integers(0, d - 1)),
+        intercept=draw(st.booleans()),
+        feature_column=draw(st.integers(0, d - 1)),
+    )
+    binary = [kind == "log_odds_ratio" and j == 0 for j in range(d)] + [kind in ("logistic_coef", "log_odds_ratio")]
+    row = st.tuples(*(st.sampled_from(BINARY if b else VALUES) for b in binary))
+    distinct = draw(st.lists(row, min_size=d + 2, max_size=8, unique=True))
+    if kind == "logistic_coef":
+        # Every feature row with both outcomes, so the data are not separated
+        # and the maximum-likelihood estimate exists.  Under separation IRLS
+        # stops wherever rounding lets it, so merged and unmerged rows may
+        # disagree there.
+        distinct = [r[:d] + (v,) for r in distinct for v in BINARY]
+    distinct = np.array(distinct, dtype=np.float64)
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(distinct), max_size=len(distinct)))
+    counts[0] += 1  # at least 4 rows, as a 2x2 table needs
+    rows = np.repeat(distinct, counts, axis=0)
+    return spec, rows[:, :d], rows[:, d]
 
 
 def interval_or_error(*args):
@@ -115,6 +161,61 @@ def test_canonical_gather_equals_evaluate_on_the_resample(problem, data):
         for _ in range(4):
             idx = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), dtype=np.intp)
             assert same_estimate(estimate(idx), evaluate(spec, X[idx], y[idx]))
+
+
+def unmerged_estimate(spec, X, y) -> EstimateValue:
+    """The estimate from every row as given: no sorting, no merging, no weights."""
+    if spec.kind == "log_odds_ratio":
+        e = X[:, spec.exposure_column]
+        n11, n10, n01, n00 = (float(np.sum((e == a) & (y == b))) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
+        reason = None
+        if min(n11, n10, n01, n00) == 0.0:
+            n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
+            reason = "zero cell corrected"
+        return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
+    if spec.kind == "pearson_corr":
+        xc = X[:, spec.feature_column] - np.mean(X[:, spec.feature_column])
+        yc = y - np.mean(y)
+        denom = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc))
+        if denom == 0.0:
+            return EstimateValue(math.nan, "constant variable")
+        return EstimateValue(float(np.dot(xc, yc) / denom))
+    design = with_intercept(X) if spec.intercept else X
+    if spec.kind == "ols_coef":
+        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        reason = "singular design" if rank < design.shape[1] else None
+    elif np.all(y == y[0]):
+        beta, reason = None, "constant outcome"
+    else:
+        beta, reason = fit_logistic(design, y)
+    return EstimateValue(math.nan, reason) if reason is not None else EstimateValue(float(beta[spec.target_index]))
+
+
+@MERGE_SETTINGS
+@given(repeated_rows())
+def test_merged_weighted_kernels_equal_the_unmerged_rows(problem):
+    spec, X, y = problem
+    merged, unmerged = evaluate(spec, X, y), unmerged_estimate(spec, X, y)
+    if spec.kind == "log_odds_ratio":
+        assert same_estimate(merged, unmerged)
+    else:
+        assert close_estimate(merged, unmerged)
+
+
+@MERGE_SETTINGS
+@given(repeated_rows())
+def test_duplicating_every_row_keeps_the_estimate(problem):
+    spec, X, y = problem
+    once = evaluate(spec, X, y)
+    twice = evaluate(spec, np.vstack([X, X]), np.concatenate([y, y]))
+    if spec.kind != "log_odds_ratio":
+        assert close_estimate(once, twice)
+    elif once.ok:
+        assert same_estimate(once, twice)
+    else:
+        # The zero-cell correction adds 0.5 to counts that doubled, so only
+        # the flag carries over.
+        assert twice.reason == once.reason
 
 
 @PROPERTY_SETTINGS
