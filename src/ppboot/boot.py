@@ -11,15 +11,15 @@ combination, 0 falls back to the classical bootstrap of the labeled outcomes
 (the loop then resamples the labeled outcomes only), and ``tuned`` estimates
 the variance-minimizing multiplier from an initial bootstrap on disjoint
 streams.  Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`.  Before its first draw it checks each side
-(labeled outcomes, labeled predictions, unlabeled predictions) once and, for
-the feature-keyed estimands, merges the rows that tie on the canonical key of
-``estimators.canonical_rows`` into weighted rows and builds the design.  Each
+:func:`resample_estimates`.  Before its first draw it builds one
+``estimators.canonical_resampler`` per side (labeled outcomes, labeled
+predictions, unlabeled predictions), which checks the side once and, for the
+feature-keyed estimands, merges its tied rows into weighted rows.  Each
 attempt then turns its drawn indices into counts over those merged rows and
-runs the weighted estimator kernel on the rows drawn at least once.  Mean and
-quantile evaluate the drawn values directly (sorted sum, selected order
-statistic).  The interval is the percentile interval of the retained
-iteration values.
+runs the weighted estimator kernel on the rows drawn at least once; a point
+estimate (``estimators.evaluate``) is the identity draw.  Mean and quantile
+evaluate the drawn values directly.  The interval is the percentile interval
+of the retained iteration values.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class BootstrapConfig:
     (use ``lambda_value``), or ``tuned`` (estimate the multiplier from an
     initial bootstrap of ``tuning_B`` iterations, defaulting to ``B``).
     ``master_seed`` seeds the root stream wherever the caller does not pass
-    an explicit stream (CLI, study harness).
+    an explicit stream (CLI, study harness).  A study config cannot set it:
+    the study's ``--seed`` is the master seed.
     """
 
     B: int = 1000
@@ -87,7 +88,7 @@ class BootstrapConfig:
     def from_dict(cls, raw: dict) -> "BootstrapConfig":
         check_config(raw, {
             "B": (int,), "alpha": NUMBER, "lambda_mode": (str,), "lambda_value": NUMBER,
-            "tuning_B": (int, type(None)), "master_seed": (int,), "max_degenerate_retries": (int,),
+            "tuning_B": (int, type(None)), "max_degenerate_retries": (int,),
             "clip_lambda": (bool,),
         }, "bootstrap")
         return cls(**raw)

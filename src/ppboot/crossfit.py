@@ -17,7 +17,7 @@ import numpy as np
 from .boot import BootstrapConfig, ConfidenceInterval, ppboot_interval
 from .data import LabeledDataset, UnlabeledDataset
 from .errors import EstimationError, check_config
-from .estimators import EstimandSpec, _sigmoid, fit_logistic, with_intercept
+from .estimators import EstimandSpec, _sigmoid, fit_least_squares, fit_logistic, with_intercept
 from .resampling import PHASE_SPLIT, RngStream
 
 # Sub-tags under PHASE_SPLIT: 0 is reserved for the harness's labeled/unlabeled
@@ -61,7 +61,7 @@ class LinearLeastSquaresLearner:
     def fit(self, features, outcomes) -> Predictor:
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(outcomes, dtype=np.float64)
-        beta, _, _, _ = np.linalg.lstsq(with_intercept(X), y, rcond=None)
+        beta, _ = fit_least_squares(with_intercept(X), y)
 
         def predict(queries: np.ndarray) -> np.ndarray:
             Q = np.asarray(queries, dtype=np.float64)
@@ -168,9 +168,7 @@ def train_fold_models(features, outcomes, folds: FoldAssignment, learner: Learne
             raise EstimationError(f"training failed on fold {j}: empty training complement")
         try:
             models.append(learner.fit(X[mask], y[mask]))
-        except EstimationError as exc:
-            raise EstimationError(f"training failed on fold {j}: {exc}") from exc
-        except np.linalg.LinAlgError as exc:
+        except (EstimationError, np.linalg.LinAlgError) as exc:
             raise EstimationError(f"training failed on fold {j}: {exc}") from exc
     return models
 
@@ -246,7 +244,7 @@ def split_ppboot_interval(
     infer_rows = np.sort(perm[n_train:])
     try:
         model = learner.fit(X[train_rows], y[train_rows])
-    except np.linalg.LinAlgError as exc:
+    except (EstimationError, np.linalg.LinAlgError) as exc:
         raise EstimationError(f"training failed on the split training set: {exc}") from exc
     labeled = LabeledDataset(X[infer_rows], y[infer_rows], model(X[infer_rows]))
     unlabeled = UnlabeledDataset(unlabeled_features, model(np.asarray(unlabeled_features, dtype=np.float64)))

@@ -1,20 +1,20 @@
 """Scalar estimators applied interchangeably to outcomes and to predictions.
 
-An estimate takes three steps.  :func:`check_args` is the one argument check:
-wrong shapes, empty input or non-binary data raise ``ValueError`` there.
-:func:`canonical_rows` is the one place where row order is decided: for the
-feature-keyed estimands (Pearson, log odds ratio, OLS, logistic) it sorts the
-rows by their key and merges the rows that tie into one row with an integer
-weight.  :func:`kernel` computes the estimate from the merged rows and their
-weights, so every result depends only on the row multiset.  A bootstrap
-resample is then a vector of counts over a dataset's merged rows
-(:func:`canonical_resampler`), and a kernel costs the distinct drawn rows, not
-the drawn rows.  Mean and quantile stay on the drawn values: the mean's bits
-are those of the sum of the sorted values, which a weighted sum would not
-reproduce, and the quantile only needs one order statistic.  Conditions that
-make the target ill-defined on a sample (singular design, separation,
-constant variables) are reported through the degenerate flag rather than
-raised, so bootstrap loops can redraw.
+Every estimate takes one path: check, merge, kernel.  :func:`check_args` is
+the one argument check: wrong shapes, empty input or non-binary data raise
+``ValueError`` there.  :func:`canonical_resampler` is the one place where row
+order is decided: for the feature-keyed estimands (Pearson, log odds ratio,
+OLS, logistic) it merges the rows that tie on their key into sorted weighted
+rows, and a resample becomes a vector of counts over them.  :func:`kernel`
+computes the estimate from the drawn merged rows and their counts, so every
+result depends only on the row multiset and costs the distinct drawn rows.
+:func:`evaluate` is the identity resample.  Mean and quantile stay on the
+drawn values: the mean's bits are those of the sorted sum, which a weighted
+sum would not reproduce.  All least squares goes through
+:func:`fit_least_squares`.  Conditions that make the target ill-defined on a
+sample (singular design, separation, constant variables) are reported
+through the degenerate flag rather than raised, so bootstrap loops can
+redraw.
 """
 
 from __future__ import annotations
@@ -149,37 +149,6 @@ def check_args(spec: EstimandSpec, features, outcomes) -> tuple[np.ndarray | Non
     return X, y
 
 
-def canonical_rows(spec: EstimandSpec, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The one place where row order is decided and tied rows merge: ``(row_id, X_rows, y_rows, weights)``.
-
-    For the feature-keyed estimands only.  The key is y, then the feature
-    columns ``spec`` reads (one for Pearson and the log odds ratio, all for
-    OLS and logistic).  Rows tying on the key are equal in all a kernel reads,
-    so they merge into one row of ``(X_rows, y_rows)``, in key order, whose
-    integer weight counts them; ``row_id[i]`` is the merged row of input row
-    ``i``.  Every result is therefore a function of the row multiset.  For OLS
-    and logistic, ``X_rows`` is the design: the intercept column is added here.
-    """
-    columns = {"pearson_corr": [spec.feature_column],
-               "log_odds_ratio": [spec.exposure_column]}.get(spec.kind, range(X.shape[1]))
-    # Adding 0.0 turns -0.0 into 0.0: signed zeros tie in the key but differ
-    # in bits, and their sign can steer the linear algebra.
-    X_key, y = X[:, list(columns)] + 0.0, y + 0.0
-    order = np.lexsort([*X_key.T[::-1], y])
-    X_key, y = X_key[order], y[order]
-    new = np.empty(y.size, dtype=bool)
-    new[0] = True
-    new[1:] = (y[1:] != y[:-1]) | np.any(X_key[1:] != X_key[:-1], axis=1)
-    first = np.flatnonzero(new)
-    row_id = np.empty(y.size, dtype=np.intp)
-    row_id[order] = np.cumsum(new) - 1
-    weights = np.diff(np.append(first, y.size))
-    X_rows = X_key[first]
-    if spec.kind in ("ols_coef", "logistic_coef") and spec.intercept:
-        X_rows = with_intercept(X_rows)
-    return row_id, X_rows, y[first], weights
-
-
 def with_intercept(X: np.ndarray) -> np.ndarray:
     """Design matrix with a trailing column of ones."""
     return np.hstack([X, np.ones((X.shape[0], 1))])
@@ -192,41 +161,51 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0, t) / (1.0 + t)
 
 
-def _rank_cut(design: np.ndarray, w: np.ndarray) -> float:
-    """numpy's default ``lstsq`` cut, ``eps * max(rows, columns)``, for the expanded rows.
+def fit_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Weighted least squares: ``(beta, rank)``, row ``i`` counting ``w[i]`` times (all once by default).
 
     Scaling row ``i`` by ``sqrt(w[i])`` gives the singular values of the
-    design with row ``i`` repeated ``w[i]`` times, so with this cut the rank
-    of the scaled rows is the rank of the expanded ones.
+    design with row ``i`` repeated ``w[i]`` times, so numpy's default cut,
+    ``eps * max(rows, columns)``, taken over the expanded rows makes ``rank``
+    their rank.  With unit weights this is ``lstsq(design, y, rcond=None)``.
     """
-    return np.finfo(np.float64).eps * max(np.sum(w), design.shape[1])
+    w = np.ones(y.size) if w is None else w
+    root = np.sqrt(w)
+    cut = np.finfo(np.float64).eps * max(np.sum(w), design.shape[1])
+    beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], y * root, rcond=cut)
+    return beta, rank
 
 
 def fit_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray | None, str | None]:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
     Row ``i`` counts ``w[i]`` times (all once by default).  Returns
-    ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed: a
-    design without full column rank (the test of ``ols_coef``) is a
-    "singular design".  IRLS starts from zero and converges when the largest
-    absolute coefficient change drops below ``IRLS_TOL`` or after
-    ``IRLS_MAX_ITER`` iterations.  A coefficient escaping ``SEPARATION_BOUND``
-    during iteration is treated as separation.
+    ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed.  IRLS
+    starts from zero, where every fitted probability is 1/2, so the first
+    Newton step is 4 times the weighted least-squares fit of ``y - 1/2``
+    (:func:`fit_least_squares`); a design without full column rank in that
+    fit (the test of ``ols_coef``) is a "singular design".  IRLS converges
+    when the largest absolute coefficient change drops below ``IRLS_TOL`` or
+    after ``IRLS_MAX_ITER`` steps, the first included.  A coefficient
+    escaping ``SEPARATION_BOUND`` during iteration is treated as separation.
     """
     w = np.ones(y.size) if w is None else w
-    if np.linalg.matrix_rank(design * np.sqrt(w)[:, None], rtol=_rank_cut(design, w)) < design.shape[1]:
+    step, rank = fit_least_squares(design, y - 0.5, w)
+    if rank < design.shape[1]:
         return None, "singular design"
+    step = 4.0 * step
     beta = np.zeros(design.shape[1])
-    for _ in range(IRLS_MAX_ITER):
-        mu = _sigmoid(design @ beta)
-        hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, None])
-        score = design.T @ (w * (y - mu))
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
-            # The design has full rank, so the fitted probabilities
-            # saturated the weights to zero: separation.
-            return None, "separation"
+    for iteration in range(IRLS_MAX_ITER):
+        if iteration:
+            mu = _sigmoid(design @ beta)
+            hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, None])
+            score = design.T @ (w * (y - mu))
+            try:
+                step = np.linalg.solve(hessian, score)
+            except np.linalg.LinAlgError:
+                # The design has full rank, so the fitted probabilities
+                # saturated the weights to zero: separation.
+                return None, "separation"
         beta = beta + step
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             return None, "separation"
@@ -242,7 +221,8 @@ def kernel(spec: EstimandSpec, X: np.ndarray | None, y: np.ndarray, w: np.ndarra
     ``w`` are unused): the mean sums them sorted, the quantile selects its
     order statistic in place.  They are never merged, because a weighted sum
     would not give the bits of the sorted sum.  The other four take the merged
-    rows ``(X, y)`` of :func:`canonical_rows` with integer weights ``w``.
+    rows ``(X, y)`` of :func:`canonical_resampler`, in key order, with integer
+    weights ``w``.
     """
     if spec.kind == "mean":
         # Sorted, so the float sum does not depend on the input order.
@@ -261,19 +241,23 @@ def kernel(spec: EstimandSpec, X: np.ndarray | None, y: np.ndarray, w: np.ndarra
             reason = "zero cell corrected"
         return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
     if spec.kind == "pearson_corr":
+        x = X[:, 0]
+        # Exact tests, since a constant column whose mean is inexact has a
+        # nonzero centred sum of squares.  The merged rows are sorted by y.
+        if y[0] == y[-1] or np.all(x == x[0]):
+            return EstimateValue(float("nan"), "constant variable")
         # np.sum, not np.dot: BLAS splits long dot products across its
         # threads, which would tie the bits to the thread count.
         total = np.sum(w)
-        xc = X[:, 0] - np.sum(w * X[:, 0]) / total
+        xc = x - np.sum(w * x) / total
         yc = y - np.sum(w * y) / total
         wxc = w * xc
         denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
-        if denom == 0.0:
+        if denom == 0.0:  # the squares underflowed
             return EstimateValue(float("nan"), "constant variable")
         return EstimateValue(float(np.sum(wxc * yc) / denom))
     if spec.kind == "ols_coef":
-        root = np.sqrt(w)
-        beta, _, rank, _ = np.linalg.lstsq(X * root[:, None], y * root, rcond=_rank_cut(X, w))
+        beta, rank = fit_least_squares(X, y, w)
         reason = "singular design" if rank < X.shape[1] else None
     elif np.all(y == y[0]):
         beta, reason = None, "constant outcome"
@@ -284,29 +268,29 @@ def kernel(spec: EstimandSpec, X: np.ndarray | None, y: np.ndarray, w: np.ndarra
     return EstimateValue(float(beta[spec.target_index]))
 
 
-def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:
-    """Apply the estimator of ``spec`` to one dataset (outcomes or predictions): check, merge, kernel."""
-    X, y = check_args(spec, features, outcomes)
-    if spec.kind in OUTCOME_ONLY_KINDS:
-        return kernel(spec, None, y + 0.0, None)
-    _, X_rows, y_rows, w = canonical_rows(spec, X, y)
-    return kernel(spec, X_rows, y_rows, w)
-
-
 def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Callable[[np.ndarray], EstimateValue]:
-    """Check and merge one dataset once; return ``idx -> evaluate(spec, X[idx], y[idx])``.
+    """Check and merge one dataset once; return ``idx -> estimate on (X[idx], y[idx])``.
 
-    A resample of the feature-keyed estimands is a vector of counts over the
-    merged rows: ``bincount(row_id[idx])``.  The rows it draws, with their
-    counts as weights, are exactly the merged rows of the resample, so the
-    function gives :func:`evaluate`'s bits without sorting or merging.  Mean
-    and quantile take the drawn values themselves.
+    The merge key is y, then the feature columns ``spec`` reads (one for
+    Pearson and the log odds ratio, all for OLS and logistic); rows tying on
+    it are equal in all a kernel reads.  The merged rows are in key order,
+    and OLS and logistic get their intercept column here.  A resample is
+    ``bincount(row_id[idx])`` over them, and the kernel runs on the rows
+    drawn at least once, with their counts as weights.  Mean and quantile
+    take the drawn values themselves.
     """
     X, y = check_args(spec, features, outcomes)
     if spec.kind in OUTCOME_ONLY_KINDS:
         values = y + 0.0
         return lambda idx: kernel(spec, None, values[idx], None)
-    row_id, X_rows, y_rows, _ = canonical_rows(spec, X, y)
+    columns = {"pearson_corr": [spec.feature_column],
+               "log_odds_ratio": [spec.exposure_column]}.get(spec.kind, range(X.shape[1]))
+    # Adding 0.0 turns -0.0 into 0.0: signed zeros tie in the key but differ
+    # in bits, and their sign can steer the linear algebra.
+    rows, row_id = np.unique(np.column_stack([y, X[:, list(columns)]]) + 0.0, axis=0, return_inverse=True)
+    y_rows, X_rows = rows[:, 0], rows[:, 1:]
+    if spec.kind in ("ols_coef", "logistic_coef") and spec.intercept:
+        X_rows = with_intercept(X_rows)
 
     def estimate(idx: np.ndarray) -> EstimateValue:
         counts = np.bincount(row_id[idx], minlength=y_rows.size)
@@ -315,6 +299,11 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Callable[[np.
         return kernel(spec, X_rows.take(drawn, axis=0), y_rows.take(drawn), counts.take(drawn))
 
     return estimate
+
+
+def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:
+    """Apply the estimator of ``spec`` to one dataset (outcomes or predictions): the identity resample."""
+    return canonical_resampler(spec, features, outcomes)(np.arange(np.size(outcomes)))
 
 
 def est_mean(outcomes) -> EstimateValue:

@@ -39,6 +39,8 @@ from ppboot import (
 from ppboot.cli import main as cli_main
 from ppboot.resampling import PHASE_MAIN, PHASE_SPLIT
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20240
 THREADS = min(8, os.cpu_count() or 1)
 

@@ -224,6 +224,8 @@ class TestStudy:
                      "'extra'", id="unknown-data-key"),
         pytest.param({"data": {"csv": {"path": "data.csv", "schema": {}, "delimiter": ";"}}},
                      "'delimiter'", id="unknown-csv-key"),
+        # The study's --seed is the master seed, so the config cannot set it.
+        pytest.param({"bootstrap": {"B": 150, "master_seed": 12345}}, "'master_seed'", id="master-seed-key"),
     ])
     def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys, overrides, named):
         cfg = study_config(tmp_path, **overrides)

@@ -138,6 +138,12 @@ class TestLogisticLearnerFailures:
         with pytest.raises(EstimationError, match=r"training failed on fold 0: .*singular design"):
             train_fold_models(np.column_stack([x, x]), np.array([0, 1, 0, 1, 1, 0, 1, 0.0]), folds, LogisticLearner())
 
+    def test_split_prefix_kept(self):
+        x = np.linspace(-2.0, 2.0, 12)[:, None]
+        with pytest.raises(EstimationError, match=r"^training failed on the split training set: .*separation"):
+            split_ppboot_interval(x, (x[:, 0] > 0).astype(float), x, MEAN, BootstrapConfig(B=10),
+                                  LogisticLearner(), RngStream(3))
+
 
 class TestKNearestPredict:
     def test_chunked_rows_match_one_query_at_a_time(self):

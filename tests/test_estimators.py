@@ -181,6 +181,16 @@ class TestPearsonCorr:
         est = est_pearson_corr([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], 0)
         assert not est.ok and est.reason == "constant variable"
 
+    @pytest.mark.parametrize("features, outcomes", [
+        # 0.1 + 0.1 + 0.1 != 0.3, so centring leaves a nonzero sum of squares.
+        pytest.param([[0.1], [0.1], [0.1]], [1.0, 2.0, 4.0], id="constant-x-inexact-mean"),
+        pytest.param([[1.0], [2.0], [4.0]], [0.1, 0.1, 0.1], id="constant-y-inexact-mean"),
+    ])
+    def test_constant_with_inexact_mean_flagged(self, features, outcomes):
+        est = est_pearson_corr(features, outcomes, 0)
+        assert not est.ok and est.reason == "constant variable"
+        assert math.isnan(est.value)
+
     def test_range(self):
         g = np.random.default_rng(13)
         for _ in range(50):

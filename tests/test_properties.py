@@ -3,10 +3,13 @@
 Data are small and drawn from a handful of values, so ties, duplicate rows and
 0/1 columns are the rule rather than the exception.  Results are compared bit
 for bit, except that weighted kernels on merged rows are compared with the
-same estimators on the unmerged rows at 1e-12.
+same estimators on the unmerged rows at 1e-12, and that affine maps of the
+data, which change the rounding, are checked to a relative 1e-9 (the
+quantile's order statistic still bit for bit).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -40,6 +43,9 @@ BINARY = (0.0, 1.0)
 SIGNED_VALUES = VALUES + (-0.0,)
 SIGNED_BINARY = BINARY + (-0.0,)
 RETRIES = 3
+# Affine maps y -> a * y + b: scales of both signs and sizes, shifts up to 1e3.
+SCALES = (-3.0, -0.5, 0.25, 2.0, 10.0)
+SHIFTS = (-4.0, 0.0, 1.5, 1000.0)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 # The estimands whose rows merge into weighted rows, and more examples for
 # them: the estimates are cheap, and many small samples are degenerate.
@@ -71,9 +77,9 @@ def table(draw, rows: int, binary: list[bool], signed_zeros: bool) -> np.ndarray
 
 
 @st.composite
-def problems(draw, signed_zeros: bool = False):
-    """An estimand spec plus a labeled/unlabeled pair it accepts."""
-    kind = draw(st.sampled_from(ESTIMAND_KINDS))
+def problems(draw, signed_zeros: bool = False, kinds: tuple[str, ...] = ESTIMAND_KINDS):
+    """An estimand spec of one of ``kinds`` plus a labeled/unlabeled pair it accepts."""
+    kind = draw(st.sampled_from(kinds))
     d = draw(st.integers(1, 3))
     spec = EstimandSpec(
         kind,
@@ -174,7 +180,10 @@ def unmerged_estimate(spec, X, y) -> EstimateValue:
             reason = "zero cell corrected"
         return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
     if spec.kind == "pearson_corr":
-        xc = X[:, spec.feature_column] - np.mean(X[:, spec.feature_column])
+        x = X[:, spec.feature_column]
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            return EstimateValue(math.nan, "constant variable")
+        xc = x - np.mean(x)
         yc = y - np.mean(y)
         denom = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc))
         if denom == 0.0:
@@ -262,3 +271,45 @@ def test_interval_endpoints_are_draw_values(problem, seed, mode):
     values = {bits(v) for v in draws.values}
     assert bits(ci.lower) in values and bits(ci.upper) in values
     assert ci.lower <= ci.upper
+
+
+@PROPERTY_SETTINGS
+@given(problems(kinds=("mean", "ols_coef")), st.sampled_from(SCALES), st.sampled_from(SHIFTS))
+def test_mean_and_ols_slopes_are_affine_equivariant(problem, a, b):
+    spec, labeled, _ = problem
+    # With an intercept, y -> a * y + b scales every slope by a and moves
+    # only the intercept by b; target_index < d always names a slope.
+    spec = replace(spec, intercept=True)
+    X, y = labeled.features, labeled.outcomes
+    before, after = evaluate(spec, X, y), evaluate(spec, X, a * y + b)
+    assert after.reason == before.reason
+    if before.ok:
+        expected = a * before.value + (b if spec.kind == "mean" else 0.0)
+        assert abs(after.value - expected) <= 1e-9 * (abs(a) * (1.0 + abs(before.value)) + abs(b))
+
+
+@PROPERTY_SETTINGS
+@given(problems(kinds=("quantile",)), st.sampled_from([a for a in SCALES if a > 0]), st.sampled_from(SHIFTS))
+def test_quantile_is_equivariant_under_increasing_affine_maps(problem, a, b):
+    spec, labeled, _ = problem
+    y = labeled.outcomes
+    # An increasing map keeps the order, and rounding keeps it weakly, so the
+    # selected order statistic of a * y + b is the map of the old one.
+    assert bits(evaluate(spec, None, a * y + b).value) == bits(a * evaluate(spec, None, y).value + b)
+
+
+@PROPERTY_SETTINGS
+@given(problems(kinds=("mean",)), st.integers(0, 2**32), st.sampled_from(("off", "fixed", "tuned")),
+       st.sampled_from((-7.5, 0.25, 3.0, 1000.0)))
+def test_ppboot_mean_interval_shifts_with_the_data(problem, seed, mode, c):
+    spec, labeled, unlabeled = problem
+    shifted_labeled = LabeledDataset(labeled.features, labeled.outcomes + c, labeled.predictions + c)
+    shifted_unlabeled = UnlabeledDataset(unlabeled.features, unlabeled.predictions + c)
+    cfg = BootstrapConfig(B=30, alpha=0.2, lambda_mode=mode, lambda_value=0.6)
+    before = ppboot_interval(labeled, unlabeled, spec, cfg, RngStream(seed))
+    after = ppboot_interval(shifted_labeled, shifted_unlabeled, spec, cfg, RngStream(seed))
+    # Same index draws on both sides; the values differ by c up to rounding.
+    tol = 1e-9 * (1.0 + abs(c))
+    assert abs(after.lambda_used - before.lambda_used) <= 1e-9
+    for end in ("lower", "upper", "point_estimate"):
+        assert abs(getattr(after, end) - (getattr(before, end) + c)) <= tol
