@@ -65,7 +65,8 @@ def _build_parser() -> _Parser:
     study.add_argument("--config", required=True, help="study config JSON path")
     study.add_argument("--out", required=True, help="output directory for reports")
     study.add_argument("--seed", type=int, required=True, help="master seed (required for reproducibility)")
-    study.add_argument("--threads", type=int, default=1, help="worker cap; results are independent of it")
+    study.add_argument("--threads", type=int, default=1,
+                       help="cap on the worker processes that run study cells; results are independent of it")
     study.set_defaults(func=cmd_study)
     return parser
 

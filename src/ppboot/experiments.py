@@ -4,7 +4,9 @@ A study repeatedly splits a fully labeled dataset into labeled/unlabeled
 parts, computes each requested method's interval, and aggregates coverage
 against the estimand's value on the whole dataset.  All randomness is derived
 from stream paths containing the (n index, trial) pair, so results are
-independent of execution order and thread count.
+independent of execution order and worker count.  With more than one worker,
+the (n index, trial) cells run in worker processes, each holding one copy of
+the dataset and the config.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -285,12 +286,45 @@ def _run_method(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _run_cell(
+    full: LabeledDataset, config: TrialConfig, cell: tuple[int, int]
+) -> dict[str, ConfidenceInterval | EstimationError]:
+    """Split one (n index, trial) cell and run every method; a failure is the method's outcome."""
+    ni, trial = cell
+    base = RngStream(config.bootstrap.master_seed, (ni, trial))
+    labeled, unlabeled = split_trial(full, config.n_grid[ni], base.child(PHASE_SPLIT))
+    out: dict[str, ConfidenceInterval | EstimationError] = {}
+    for method in config.methods:
+        try:
+            out[method] = reported_interval(
+                _run_method(method, labeled, unlabeled, config, base), config.estimand
+            )
+        except EstimationError as exc:
+            out[method] = exc
+    return out
+
+
+# (full, config) of the study a worker process serves; set once per worker.
+_worker_study: tuple[LabeledDataset, TrialConfig] | None = None
+
+
+def _init_worker(full: LabeledDataset, config: TrialConfig) -> None:
+    global _worker_study
+    _worker_study = (full, config)
+
+
+def _worker_cell(cell: tuple[int, int]) -> dict[str, ConfidenceInterval | EstimationError]:
+    return _run_cell(*_worker_study, cell)
+
+
 def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int = 1) -> TrialSummary:
     """Execute the split/estimate/aggregate protocol over the trial grid.
 
     Ground truth is the estimand evaluated once on the whole dataset.  A trial
     whose method raises an estimation error counts as not covered; a method
-    failing more than 10% of trials at any n aborts the study.
+    failing more than 10% of trials at any n aborts the study.  ``threads``
+    caps the worker processes; with one worker the cells run in this process.
+    Results never depend on it.
     """
     for n in config.n_grid:
         if not (2 <= n <= full.n - 2):
@@ -299,24 +333,17 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     if not truth_est.ok:
         raise EstimationError(f"ground truth is degenerate: {truth_est.reason}")
     truth = transform_value(truth_est.value, config.estimand)
-    seed = config.bootstrap.master_seed
-
-    def run_cell(ni: int, trial: int) -> dict[str, ConfidenceInterval | EstimationError]:
-        base = RngStream(seed, (ni, trial))
-        labeled, unlabeled = split_trial(full, config.n_grid[ni], base.child(PHASE_SPLIT))
-        out: dict[str, ConfidenceInterval | EstimationError] = {}
-        for method in config.methods:
-            try:
-                out[method] = reported_interval(
-                    _run_method(method, labeled, unlabeled, config, base), config.estimand
-                )
-            except EstimationError as exc:
-                out[method] = exc
-        return out
 
     cells = [(ni, t) for ni in range(len(config.n_grid)) for t in range(config.trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = dict(zip(cells, pool.map(lambda cell: run_cell(*cell), cells)))
+    workers = min(threads, len(cells))
+    if workers == 1:
+        outcomes = [_run_cell(full, config, cell) for cell in cells]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(full, config)) as pool:
+            outcomes = list(pool.map(_worker_cell, cells))
+    results = dict(zip(cells, outcomes))
 
     aggregates: list[MethodAggregate] = []
     records: list[TrialRecord] = []

@@ -1,12 +1,24 @@
 """Synthetic generators, the coverage harness, and report serialization."""
 
+import copy
+import multiprocessing
+import os
+import resource
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import ppboot
 from ppboot import (
     BootstrapConfig,
+    ConfidenceInterval,
     EstimandSpec,
     EstimationError,
+    LabeledDataset,
+    LearnerSpec,
     RngStream,
     SyntheticSpec,
     TrialConfig,
@@ -194,6 +206,146 @@ class TestRunCoverageStudy:
     def test_bad_n_grid_rejected(self):
         with pytest.raises(ValueError):
             run_coverage_study(_bern_data(total=100), _study_config(n_grid=(99,)))
+
+
+def _rare_outcome_data(seed, total=200, ones=10):
+    """Continuous feature, 0/1 outcomes with ``ones`` ones: small labeled splits may hold none."""
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((total, 1))
+    y = np.zeros(total)
+    y[g.choice(total, ones, replace=False)] = 1.0
+    return LabeledDataset(X, y, y + 0.1 * g.standard_normal(total))
+
+
+def _children_cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+# One small study per estimand kind, with the learner-based methods it can
+# run.  The binary kinds need 0/1 predictions: the 1-nearest-neighbour learner
+# gives them, but cross-fitting averages the fold models' predictions.  The
+# log odds ratio's only feature is the exposure, so a learner's predictions
+# are a function of it and every table they fill is degenerate.
+_CROSS_SPLIT = ("cross-ppboot", "split-ppboot")
+_KIND_STUDIES = {
+    "mean": (SyntheticSpec("gaussian_linear", 400, coef=(1.0,), prediction_model="noisy_truth", rho=0.9),
+             EstimandSpec("mean"), LearnerSpec("linear_least_squares"), _CROSS_SPLIT),
+    "quantile": (SyntheticSpec("gaussian_linear", 400, coef=(1.0,), prediction_model="noisy_truth", rho=0.9),
+                 EstimandSpec("quantile", q=0.5), LearnerSpec("knn", k=5), _CROSS_SPLIT),
+    "ols_coef": (SyntheticSpec("gaussian_linear", 400, coef=(2.0, -1.0), prediction_model="noisy_truth", rho=0.9),
+                 EstimandSpec("ols_coef", target_index=0), LearnerSpec("linear_least_squares"), _CROSS_SPLIT),
+    "logistic_coef": (SyntheticSpec("logistic", 400, coef=(1.0,), prediction_model="noisy_truth", rho=0.9),
+                      EstimandSpec("logistic_coef", target_index=0), LearnerSpec("knn", k=1), ("split-ppboot",)),
+    "log_odds_ratio": (SyntheticSpec("binary_pair", 400, joint=(0.3, 0.2, 0.2, 0.3),
+                                     prediction_model="noisy_truth", rho=0.9),
+                       EstimandSpec("log_odds_ratio", exposure_column=0), LearnerSpec("knn", k=1), ()),
+    "pearson_corr": (SyntheticSpec("gaussian_linear", 400, coef=(1.0,), prediction_model="noisy_truth", rho=0.9),
+                     EstimandSpec("pearson_corr", feature_column=0), LearnerSpec("linear_least_squares"),
+                     _CROSS_SPLIT),
+}
+
+# Runs a small study under the start method named in argv[1] and writes its
+# reports to argv[2]; a spawned worker imports everything it runs.
+_START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from ppboot import BootstrapConfig, EstimandSpec, RngStream, SyntheticSpec, TrialConfig
+from ppboot import generate_synthetic, run_coverage_study, write_reports
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    spec = SyntheticSpec("bernoulli_mean", 600, p=0.3, prediction_model="noisy_truth", rho=0.9)
+    full = generate_synthetic(spec, RngStream(5, (3,)))
+    config = TrialConfig(n_grid=(40, 60), trials=2, methods=("ppboot", "classical"),
+                         estimand=EstimandSpec("mean"), bootstrap=BootstrapConfig(B=100, master_seed=5))
+    write_reports(run_coverage_study(full, config, threads=2), sys.argv[2])
+"""
+
+
+class TestWorkerProcesses:
+    """Cells run in worker processes when threads > 1; nothing about the results may show it."""
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_cell_inputs_and_outcomes_round_trip(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        full = _bern_data(total=50)
+        sent = [
+            ConfidenceInterval(-0.25, 1.5, 0.625, 0.7, 2, 0.1),
+            ConfidenceInterval(0.0, 0.0, 0.0, 1.0, 0, 0.1, degenerate_reason="singular design"),
+            EstimationError("method 'classical' failed on 3 of 8 trials at n=60"),
+            _study_config(methods=("ppboot", "cross-ppboot"), learner=LearnerSpec("knn", k=3)),
+            full,
+        ]
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(start_method)) as pool:
+            back = pool.submit(copy.copy, sent).result()
+        assert back[:2] == sent[:2]
+        assert type(back[2]) is EstimationError and back[2].args == sent[2].args
+        assert back[3] == sent[3]
+        for name in ("features", "outcomes", "predictions"):
+            got, want = getattr(back[4], name), getattr(full, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_study_reports_same_under_start_method(self, start_method, tmp_path):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        spec = SyntheticSpec("bernoulli_mean", 600, p=0.3, prediction_model="noisy_truth", rho=0.9)
+        config = _study_config(n_grid=(40, 60), trials=2, bootstrap=BootstrapConfig(B=100, master_seed=5))
+        local = write_reports(run_coverage_study(generate_synthetic(spec, RngStream(5, (3,))), config),
+                              str(tmp_path / "local"))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(ppboot.__file__))))
+        subprocess.run([sys.executable, "-c", _START_METHOD_SCRIPT, start_method, str(tmp_path / "workers")],
+                       env=env, check=True)
+        for path in local.values():
+            assert (tmp_path / "workers" / os.path.basename(path)).read_bytes() == open(path, "rb").read()
+
+    def test_failures_cross_the_process_boundary(self):
+        config = _study_config(n_grid=(40,), trials=20, methods=("imputed", "classical"),
+                               estimand=EstimandSpec("pearson_corr"), bootstrap=BootstrapConfig(B=50, master_seed=2))
+        full = _rare_outcome_data(seed=2)
+        one = run_coverage_study(full, config)
+        assert [a.errors for a in one.aggregates] == [0, 2]  # labeled splits without a 1
+        assert run_coverage_study(full, config, threads=2) == one
+
+    def test_abort_message_same_in_workers(self):
+        config = _study_config(n_grid=(20,), trials=20, methods=("imputed", "classical"),
+                               estimand=EstimandSpec("pearson_corr"), bootstrap=BootstrapConfig(B=50, master_seed=2))
+        full = _rare_outcome_data(seed=2)
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(EstimationError, match="'classical' failed on") as info:
+                run_coverage_study(full, config, threads=threads)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kind", list(_KIND_STUDIES))
+    def test_reports_byte_identical_for_every_kind(self, kind, tmp_path):
+        spec, estimand, learner, learner_methods = _KIND_STUDIES[kind]
+        full = generate_synthetic(spec, RngStream(12, (3,)))
+        config = _study_config(
+            n_grid=(40, 80), trials=3, methods=("ppboot", "ppboot-tuned", "classical", *learner_methods),
+            estimand=estimand, learner=learner, crossfit_k=3,
+            bootstrap=BootstrapConfig(B=50, master_seed=12),
+        )
+        blobs = []
+        for threads in (1, 2):
+            paths = write_reports(run_coverage_study(full, config, threads=threads), str(tmp_path / str(threads)))
+            blobs.append({key: open(path, "rb").read() for key, path in paths.items()})
+        assert blobs[0] == blobs[1]
+
+    def test_cells_run_in_child_processes(self):
+        full = _bern_data()
+        config = _study_config(trials=10)
+        before = _children_cpu_s()
+        start = resource.getrusage(resource.RUSAGE_SELF)
+        one = run_coverage_study(full, config)
+        end = resource.getrusage(resource.RUSAGE_SELF)
+        assert _children_cpu_s() == before  # one worker: no process started
+        work = (end.ru_utime + end.ru_stime) - (start.ru_utime + start.ru_stime)
+        before = _children_cpu_s()
+        assert run_coverage_study(full, config, threads=2) == one
+        assert _children_cpu_s() - before > 0.5 * work
 
 
 class TestReports:
