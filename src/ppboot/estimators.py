@@ -1,26 +1,43 @@
 """Scalar estimators applied interchangeably to outcomes and to predictions.
 
-Every estimate takes one path: check, merge, kernel.  :func:`check_args` is
+Every estimate takes one path: check, merge, reduce.  :func:`check_args` is
 the one argument check: wrong shapes, empty input or non-binary data raise
 ``ValueError`` there.  :func:`canonical_resampler` is the one place where row
 order is decided: for the feature-keyed estimands (Pearson, log odds ratio,
-OLS, logistic) it merges the rows that tie on their key into sorted weighted
-rows, and a resample becomes a vector of counts over them.  :func:`kernel`
-computes the estimate from the drawn merged rows and their counts, so every
-result depends only on the row multiset and costs the distinct drawn rows.
-:func:`evaluate` is the identity resample.  Mean and quantile stay on the
-drawn values: the mean's bits are those of the sorted sum, which a weighted
-sum would not reproduce.  All least squares goes through
-:func:`fit_least_squares`.  Conditions that make the target ill-defined on a
-sample (singular design, separation, constant variables) are reported
-through the degenerate flag rather than raised, so bootstrap loops can
-redraw.
+OLS, logistic) it merges the rows that tie on their key into sorted rows, and
+a resample becomes a vector of counts over them (Efron's multinomial
+weights).  :func:`evaluate` is the identity resample.
+
+The feature-keyed estimands run a chunked engine (:class:`Resampler`).  Each
+merged row carries the statistics whose count-weighted sums determine the
+estimate: one-hot cells for the log odds ratio, raw moments for Pearson, and
+for OLS the upper triangle of ``x xᵀ`` plus ``x y`` (for logistic's first
+Newton step ``x (y - 1/2)``).  These are split once into bands on a fixed
+power-of-two grid of width ``52 - bit_length(sample size)`` bits, after the
+error-free transformation of Ozaki, Ogita, Oishi and Rump (Numerical
+Algorithms 59, 2012): integer counts times one band sum exactly in any
+order, so one matrix product of a chunk's count matrix with the bands gives
+every resample's sums, bit for bit the same alone or in any chunk, at any
+BLAS thread count, and on the full side or on a fresh side of the drawn
+rows.  Adding the band sums smallest first gives the statistics.  Each
+resample then gets a small batched solve, and a screen sends an
+ill-conditioned one to the reference formula alone: a Gram matrix whose
+condition bounds fail (:func:`_solve_gram`) to :func:`fit_least_squares`, a
+Pearson moment that cancels to the centred two-pass formula.  So every
+degeneracy reason comes from the reference rule.  Logistic's later Newton
+steps run per resample in :func:`fit_logistic`, the one IRLS.
+
+Mean and quantile stay on the drawn values: the mean's bits are those of the
+sorted sum, which a weighted sum would not reproduce.  Conditions that make
+the target ill-defined on a sample (singular design, separation, constant
+variables) are reported through the degenerate flag rather than raised, so
+bootstrap loops can redraw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +55,25 @@ ESTIMAND_KINDS = (
 REPORT_TRANSFORMS = ("identity", "exp", "fisher_z_inverse")
 # Estimands of the outcomes alone; the others read feature columns too.
 OUTCOME_ONLY_KINDS = ("mean", "quantile")
+
+# A chunk's count matrix (resamples x merged rows, float64) stays within this
+# many bytes: about 13 resamples at 9800 merged rows.
+CHUNK_BYTES = 1 << 20
+# Band boundaries lie at bit BAND_OFFSET + k * width (see _split_bands).  Any
+# fixed grid is exact; this one lets a statistic of moderate size, from about
+# 2**-16 to 2**8 at 10**4 rows, take two bands where it would straddle three.
+BAND_OFFSET = 8
+# Screens that send a resample from the chunked engine to the reference
+# formula alone.  GRAM_CONDITION_MAX keeps the weighted design's smallest
+# singular value above 1e-6 of its largest, far from the rank cut of
+# fit_least_squares.  SCALED_CONDITION_MAX bounds the conditioning of the
+# unit-diagonal Gram matrix, which sets how far the Cholesky solve of the
+# normal equations strays from fit_least_squares (2e-13 at most on designs
+# like the property tests'; 1e4 allowed 2e-12).  PEARSON_CANCELLATION is the
+# smallest centred share of a raw second moment the raw-moment formula takes.
+GRAM_CONDITION_MAX = 1e12
+SCALED_CONDITION_MAX = 1e3
+PEARSON_CANCELLATION = 1.0 / 64.0
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -176,24 +212,29 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = 
     return beta, rank
 
 
-def fit_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray | None, str | None]:
+def fit_logistic(
+    design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None, step: np.ndarray | None = None
+) -> tuple[np.ndarray | None, str | None]:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
     Row ``i`` counts ``w[i]`` times (all once by default).  Returns
     ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed.  IRLS
     starts from zero, where every fitted probability is 1/2, so the first
-    Newton step is 4 times the weighted least-squares fit of ``y - 1/2``
-    (:func:`fit_least_squares`); a design without full column rank in that
-    fit (the test of ``ols_coef``) is a "singular design".  IRLS converges
-    when the largest absolute coefficient change drops below ``IRLS_TOL`` or
-    after ``IRLS_MAX_ITER`` steps, the first included.  A coefficient
-    escaping ``SEPARATION_BOUND`` during iteration is treated as separation.
+    Newton step is 4 times the weighted least-squares fit of ``y - 1/2``.  A
+    caller that has solved it passes it as ``step`` (the resample engine does
+    so for a whole chunk); otherwise it comes from :func:`fit_least_squares`,
+    and a design without full column rank there (the test of ``ols_coef``)
+    is a "singular design".  IRLS converges when the largest absolute
+    coefficient change drops below ``IRLS_TOL`` or after ``IRLS_MAX_ITER``
+    steps, the first included.  A coefficient escaping ``SEPARATION_BOUND``
+    during iteration is treated as separation.
     """
     w = np.ones(y.size) if w is None else w
-    step, rank = fit_least_squares(design, y - 0.5, w)
-    if rank < design.shape[1]:
-        return None, "singular design"
-    step = 4.0 * step
+    if step is None:
+        step, rank = fit_least_squares(design, y - 0.5, w)
+        if rank < design.shape[1]:
+            return None, "singular design"
+        step = 4.0 * step
     beta = np.zeros(design.shape[1])
     for iteration in range(IRLS_MAX_ITER):
         if iteration:
@@ -214,75 +255,283 @@ def fit_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None)
     return beta, None
 
 
-def kernel(spec: EstimandSpec, X: np.ndarray | None, y: np.ndarray, w: np.ndarray | None) -> EstimateValue:
-    """The estimator of ``spec``; it neither checks nor merges.
-
-    Mean and quantile read the sample values ``y`` in any order (``X`` and
-    ``w`` are unused): the mean sums them sorted, the quantile selects its
-    order statistic in place.  They are never merged, because a weighted sum
-    would not give the bits of the sorted sum.  The other four take the merged
-    rows ``(X, y)`` of :func:`canonical_resampler`, in key order, with integer
-    weights ``w``.
-    """
+def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
+    """Mean or quantile of the drawn values ``y``, in any order."""
     if spec.kind == "mean":
         # Sorted, so the float sum does not depend on the input order.
         return EstimateValue(float(np.sum(np.sort(y))) / y.size)
-    if spec.kind == "quantile":
-        k = nearest_rank_index(spec.q, y.size)
-        return EstimateValue(float(np.partition(y, k)[k]))
-    w = w.astype(np.float64)  # one cast here, not one per weighted operation
-    if spec.kind == "log_odds_ratio":
-        e = X[:, 0]
-        # Sums of integer-valued weights, so the table is exact.
-        n11, n10, n01, n00 = (float(np.sum(w[(e == a) & (y == b)])) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
-        reason = None
-        if min(n11, n10, n01, n00) == 0.0:
-            n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
-            reason = "zero cell corrected"
-        return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
-    if spec.kind == "pearson_corr":
-        x = X[:, 0]
-        # Exact tests, since a constant column whose mean is inexact has a
-        # nonzero centred sum of squares.  The merged rows are sorted by y.
-        if y[0] == y[-1] or np.all(x == x[0]):
-            return EstimateValue(float("nan"), "constant variable")
-        # np.sum, not np.dot: BLAS splits long dot products across its
-        # threads, which would tie the bits to the thread count.
-        total = np.sum(w)
-        xc = x - np.sum(w * x) / total
-        yc = y - np.sum(w * y) / total
-        wxc = w * xc
-        denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
-        if denom == 0.0:  # the squares underflowed
-            return EstimateValue(float("nan"), "constant variable")
-        return EstimateValue(float(np.sum(wxc * yc) / denom))
-    if spec.kind == "ols_coef":
-        beta, rank = fit_least_squares(X, y, w)
-        reason = "singular design" if rank < X.shape[1] else None
-    elif np.all(y == y[0]):
-        beta, reason = None, "constant outcome"
+    k = nearest_rank_index(spec.q, y.size)
+    return EstimateValue(float(np.partition(y, k)[k]))
+
+
+def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateValue:
+    """Weighted Pearson correlation, centred first: the reference the raw-moment path is screened against."""
+    # Exact tests, since a constant column whose mean is inexact has a
+    # nonzero centred sum of squares.  The merged rows are sorted by y.
+    if y[0] == y[-1] or np.all(x == x[0]):
+        return EstimateValue(float("nan"), "constant variable")
+    # np.sum, not np.dot: BLAS splits long dot products across its threads,
+    # which would tie the bits to the thread count.
+    total = np.sum(w)
+    xc = x - np.sum(w * x) / total
+    yc = y - np.sum(w * y) / total
+    wxc = w * xc
+    denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
+    if denom == 0.0:  # the squares underflowed
+        return EstimateValue(float("nan"), "constant variable")
+    return EstimateValue(float(np.sum(wxc * yc) / denom))
+
+
+def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per merged row, the statistics whose count-weighted sums give the estimate.
+
+    One-hot cells for the log odds ratio; the raw moments x, y, x², y², xy for
+    Pearson; for OLS and logistic the upper triangle of ``x xᵀ`` and then
+    ``x t``, where ``t`` is y for OLS and ``y - 1/2`` for logistic's first
+    Newton step.
+    """
+    if kind == "log_odds_ratio":
+        e, f = X[:, 0], 1.0 - X[:, 0]
+        pairs = [(e, y), (e, 1.0 - y), (f, y), (f, 1.0 - y)]
+    elif kind == "pearson_corr":
+        x, one = X[:, 0], np.ones_like(y)
+        pairs = [(x, one), (y, one), (x, x), (y, y), (x, y)]
     else:
-        beta, reason = fit_logistic(X, y, w)
-    if reason is not None:
-        return EstimateValue(float("nan"), reason)
-    return EstimateValue(float(beta[spec.target_index]))
+        t = y - 0.5 if kind == "logistic_coef" else y
+        p = X.shape[1]
+        pairs = [(X[:, i], X[:, j]) for i in range(p) for j in range(i, p)] + [(X[:, i], t) for i in range(p)]
+    stats = np.empty((y.size, len(pairs)))
+    for c, (a, b) in enumerate(pairs):
+        np.multiply(a, b, out=stats[:, c])
+    return stats
 
 
-def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Callable[[np.ndarray], EstimateValue]:
-    """Check and merge one dataset once; return ``idx -> estimate on (X[idx], y[idx])``.
+def _split_bands(stats: np.ndarray, size: int) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """Split ``stats`` into bands on a fixed power-of-two grid, smallest band first.
+
+    A band holds a value's bits in ``[2**u, 2**(u+b))``, where
+    ``b = 52 - size.bit_length()`` and ``u = BAND_OFFSET + k*b`` for an
+    integer ``k``, and the bands of a value add up to it.  The grid is
+    absolute, so a row's bands do not depend on the other rows.  Any count
+    vector over the rows sums to at most ``size``, so each count times a band
+    value is exact and every partial sum of a band column is a multiple of
+    ``2**u`` below ``2**(u + 52)``: the band sums are exact in any order, on
+    any BLAS blocking or thread count.
+
+    Each band is ``(rows, values)``: ``values`` holds the band on ``rows``,
+    or on every row when ``rows`` is None.  Zero rows add exact zeros, so a
+    band that is zero on most rows keeps only the others, and an empty band
+    is dropped.  ``stats`` is overwritten.  Non-finite statistics (overflowed
+    products) are left unsplit: every sum they enter is then non-finite or
+    NaN, which fails every screen.
+    """
+    if not np.all(np.isfinite(stats)):
+        return [(None, stats)]
+    magnitude = np.abs(stats)
+    top = float(np.max(magnitude, initial=0.0))
+    if top == 0.0:
+        return [(None, stats)]
+    # A value v has no bits below 2**(frexp(v)[1] - 53), and none lies below 2**-1074.
+    low = max(int(np.frexp(np.min(magnitude, where=stats != 0.0, initial=top))[1]) - 53, -1074)
+    del magnitude
+    width = 52 - size.bit_length()
+    # The highest band: top < 2**(unit + width).
+    unit = BAND_OFFSET + (-(-(int(np.frexp(top)[1]) - BAND_OFFSET) // width) - 1) * width
+    bands = []
+    while True:
+        if unit <= low:  # the lowest band: all that is left
+            band, stats = stats, None
+        else:  # in place: one new array per band
+            band = np.ldexp(stats, -unit)
+            np.trunc(band, out=band)
+            np.ldexp(band, unit, out=band)
+            stats -= band
+        rows = np.flatnonzero(np.any(band, axis=1))
+        if 2 * rows.size > band.shape[0]:
+            bands.append((None, band))
+        elif rows.size:
+            bands.append((rows, band[rows]))
+        if stats is None:
+            return bands[::-1]
+        unit -= width
+
+
+def _solve_gram(G: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``G beta = r`` for a stack of small Gram matrices; ``(beta, ok)``.
+
+    A Cholesky factorisation ``G = L Lᵀ`` and the inverse of ``L``, written
+    out as elementwise operations across the stack, so a matrix's result does
+    not depend on its position or on the stack's length.  ``ok`` is the
+    screen: ``tr(G) tr(G⁻¹)`` bounds the condition number of ``G``, the
+    square of the weighted design's, and ``p Σ G_jj (G⁻¹)_jj`` bounds it for
+    the unit-diagonal ``G``, which governs the accuracy of the Cholesky
+    solve.  Both must stay within their limits, and the pivots and the
+    solution must be finite.
+    """
+    p = r.shape[1]
+    L = np.zeros_like(G)
+    M = np.zeros_like(G)  # L⁻¹
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p):
+            pivot = G[:, j, j]
+            for k in range(j):
+                pivot = pivot - L[:, j, k] * L[:, j, k]
+            L[:, j, j] = np.sqrt(pivot)
+            for i in range(j + 1, p):
+                s = G[:, i, j]
+                for k in range(j):
+                    s = s - L[:, i, k] * L[:, j, k]
+                L[:, i, j] = s / L[:, j, j]
+        for i in range(p):
+            M[:, i, i] = 1.0 / L[:, i, i]
+            for j in range(i):
+                s = L[:, i, j] * M[:, j, j]
+                for k in range(j + 1, i):
+                    s = s + L[:, i, k] * M[:, k, j]
+                M[:, i, j] = -s / L[:, i, i]
+        z = [sum(M[:, i, k] * r[:, k] for k in range(i + 1)) for i in range(p)]
+        beta = np.column_stack([sum(M[:, i, j] * z[i] for i in range(j, p)) for j in range(p)])
+        inverse_diagonal = [sum(M[:, i, j] * M[:, i, j] for i in range(j, p)) for j in range(p)]
+        diagonal = [G[:, j, j] for j in range(p)]
+        condition = sum(diagonal) * sum(inverse_diagonal)
+        scaled = p * sum(d * v for d, v in zip(diagonal, inverse_diagonal))
+    ok = (condition <= GRAM_CONDITION_MAX) & (scaled <= SCALED_CONDITION_MAX) & np.isfinite(beta).all(axis=1)
+    return beta, ok
+
+
+class Resampler:
+    """One checked and merged dataset; a resample is a vector of counts over its rows.
+
+    Built by :func:`canonical_resampler`.  :meth:`estimates` gives the
+    estimate on each of a chunk of resamples.  For mean and quantile
+    ``values`` holds the sample and each draw is estimated on its own drawn
+    values.  For the other kinds ``X``, ``y`` are the merged rows in key
+    order, ``row_id`` maps each sample row to its merged row, and ``bands``
+    holds the rows' statistics (:func:`_row_statistics`) split by
+    :func:`_split_bands`.  A plain class: a frozen dataclass would add about
+    1 ms to every import of the package.
+    """
+
+    def __init__(
+        self,
+        spec: EstimandSpec,
+        size: int,
+        values: np.ndarray | None = None,
+        X: np.ndarray | None = None,
+        y: np.ndarray | None = None,
+        row_id: np.ndarray | None = None,
+        bands: list[tuple[np.ndarray | None, np.ndarray]] | None = None,
+    ):
+        self.spec, self.size, self.values = spec, size, values
+        self.X, self.y, self.row_id, self.bands = X, y, row_id, bands
+
+    @property
+    def rows(self) -> int:
+        """Entries per draw that a chunk holds: merged rows, or the sample for mean and quantile."""
+        return self.size if self.values is not None else self.y.size
+
+    def __call__(self, idx: np.ndarray) -> EstimateValue:
+        """The estimate on the single resample ``idx``: a chunk of one."""
+        return self.estimates([idx], 1)[0]
+
+    def estimates(self, draws: Iterable[np.ndarray], count: int) -> list[EstimateValue]:
+        """The estimate on each of ``count`` resamples, each draw holding its drawn row indices.
+
+        ``draws`` is read once, in order, and no draw is kept, so a caller
+        may generate them as they are read.  The draws' counts over the
+        merged rows form a count matrix, whose product with ``bands`` gives
+        each resample's exact band sums; adding the bands smallest first
+        gives its statistic sums.  Every resample's bits depend on its own
+        counts alone.
+        """
+        spec = self.spec
+        if self.values is not None:
+            return [_outcome_kernel(spec, self.values[idx]) for idx in draws]
+        counts = np.empty((count, self.rows))
+        for k, idx in zip(range(count), draws, strict=True):
+            counts[k] = np.bincount(self.row_id[idx], minlength=self.rows)
+        # Starting from +0.0 also turns a -0.0 band sum into 0.0.
+        sums = np.zeros((count, self.bands[0][1].shape[1]))
+        for rows, values in self.bands:
+            sums = sums + (counts @ values if rows is None else counts[:, rows] @ values)
+        if spec.kind == "log_odds_ratio":
+            return [_log_odds_ratio(*cells) for cells in sums.tolist()]
+        if spec.kind == "pearson_corr":
+            return self._pearson(counts, sums)
+        return self._regression(counts, sums)
+
+    def _drawn(self, counts: np.ndarray):
+        drawn = np.flatnonzero(counts)
+        # take() gathers rows several times faster than fancy indexing.
+        return self.X.take(drawn, axis=0), self.y.take(drawn), counts.take(drawn)
+
+    def _pearson(self, counts: np.ndarray, sums: np.ndarray) -> list[EstimateValue]:
+        sx, sy, sxx, syy, sxy = sums.T
+        total = float(self.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cx = sxx - sx * sx / total
+            cy = syy - sy * sy / total
+            squares = cx * cy
+            value = (sxy - sx * sy / total) / np.sqrt(squares)
+        # The raw-moment formula cancels when a variable's mean dominates its
+        # spread; such a resample, any constant variable and any squares
+        # outside the normal range take the centred formula.
+        ok = ((cx > PEARSON_CANCELLATION * sxx) & (cy > PEARSON_CANCELLATION * syy)
+              & (squares > np.finfo(np.float64).tiny) & np.isfinite(squares) & np.isfinite(value))
+        out = []
+        for k in range(counts.shape[0]):
+            if ok[k]:
+                out.append(EstimateValue(float(value[k])))
+            else:
+                X, y, w = self._drawn(counts[k])
+                out.append(_pearson_two_pass(X[:, 0], y, w))
+        return out
+
+    def _regression(self, counts: np.ndarray, sums: np.ndarray) -> list[EstimateValue]:
+        K, p = counts.shape[0], self.X.shape[1]
+        i, j = np.triu_indices(p)
+        G = np.empty((K, p, p))
+        G[:, i, j] = G[:, j, i] = sums[:, :i.size]
+        beta, ok = _solve_gram(G, sums[:, i.size:])
+        out = []
+        for k in range(K):
+            if self.spec.kind == "ols_coef" and ok[k]:
+                out.append(EstimateValue(float(beta[k, self.spec.target_index])))
+                continue
+            X, y, w = self._drawn(counts[k])
+            if self.spec.kind == "ols_coef":
+                coef, rank = fit_least_squares(X, y, w)
+                reason = "singular design" if rank < p else None
+            elif np.all(y == y[0]):
+                coef, reason = None, "constant outcome"
+            else:
+                coef, reason = fit_logistic(X, y, w, 4.0 * beta[k] if ok[k] else None)
+            out.append(EstimateValue(float("nan"), reason) if reason is not None
+                       else EstimateValue(float(coef[self.spec.target_index])))
+        return out
+
+
+def _log_odds_ratio(n11: float, n10: float, n01: float, n00: float) -> EstimateValue:
+    """Log odds ratio of an exact 2x2 table; an empty cell adds 0.5 to every cell and flags."""
+    reason = None
+    if min(n11, n10, n01, n00) == 0.0:
+        n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
+        reason = "zero cell corrected"
+    return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
+
+
+def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Resampler:
+    """Check and merge one dataset once, and split its rows' statistics into bands.
 
     The merge key is y, then the feature columns ``spec`` reads (one for
     Pearson and the log odds ratio, all for OLS and logistic); rows tying on
-    it are equal in all a kernel reads.  The merged rows are in key order,
-    and OLS and logistic get their intercept column here.  A resample is
-    ``bincount(row_id[idx])`` over them, and the kernel runs on the rows
-    drawn at least once, with their counts as weights.  Mean and quantile
-    take the drawn values themselves.
+    it are equal in all an estimate reads.  The merged rows are in key order,
+    and OLS and logistic get their intercept column here.  Mean and quantile
+    keep the sample as it is.
     """
     X, y = check_args(spec, features, outcomes)
     if spec.kind in OUTCOME_ONLY_KINDS:
-        values = y + 0.0
-        return lambda idx: kernel(spec, None, values[idx], None)
+        return Resampler(spec, y.size, values=y + 0.0)
     columns = {"pearson_corr": [spec.feature_column],
                "log_odds_ratio": [spec.exposure_column]}.get(spec.kind, range(X.shape[1]))
     # Adding 0.0 turns -0.0 into 0.0: signed zeros tie in the key but differ
@@ -291,14 +540,13 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Callable[[np.
     y_rows, X_rows = rows[:, 0], rows[:, 1:]
     if spec.kind in ("ols_coef", "logistic_coef") and spec.intercept:
         X_rows = with_intercept(X_rows)
+    bands = _split_bands(_row_statistics(spec.kind, X_rows, y_rows), y.size)
+    return Resampler(spec, y.size, X=X_rows, y=y_rows, row_id=row_id, bands=bands)
 
-    def estimate(idx: np.ndarray) -> EstimateValue:
-        counts = np.bincount(row_id[idx], minlength=y_rows.size)
-        # take() gathers rows several times faster than fancy indexing.
-        drawn = np.flatnonzero(counts > 0)
-        return kernel(spec, X_rows.take(drawn, axis=0), y_rows.take(drawn), counts.take(drawn))
 
-    return estimate
+def chunk_length(resamplers) -> int:
+    """Resamples per chunk: the largest count matrix stays within ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // (8 * max(r.rows for r in resamplers)))
 
 
 def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:

@@ -50,6 +50,8 @@ METHODS = (
     "split-ppboot",
 )
 _MEAN_ONLY_METHODS = {"ppi-mean", "clt-mean"}
+# Estimands of 0/1 outcomes: they need 0/1 predictions too.
+_BINARY_KINDS = ("logistic_coef", "log_odds_ratio")
 _BINARY_DGPS = {"bernoulli_mean", "binary_pair", "logistic"}
 
 
@@ -165,6 +167,24 @@ def generate_synthetic(spec: SyntheticSpec, stream: RngStream) -> LabeledDataset
     return LabeledDataset(X, y, preds)
 
 
+def _check_binary_predictions(method: str, kind: str, learner: LearnerSpec) -> None:
+    """Reject a learner-based method whose predictions can never be 0/1 for a binary estimand.
+
+    Cross-fitting averages the fold models' predictions, and data splitting
+    takes one model's: only the 1-nearest-neighbour learner predicts a
+    training outcome.
+    """
+    if kind not in _BINARY_KINDS or method not in ("cross-ppboot", "split-ppboot"):
+        return
+    if method == "split-ppboot" and learner == LearnerSpec("knn", k=1):
+        return
+    name = f"'knn' (k={learner.k})" if learner.kind == "knn" else repr(learner.kind)
+    why = ("it averages the fold models' predictions" if method == "cross-ppboot"
+           else "only the 'knn' learner with k=1 predicts 0/1 values")
+    raise ValueError(f"method {method!r} cannot run estimand {kind!r} with learner {name}: "
+                     f"the estimand needs 0/1 predictions and {why}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Protocol parameters for one coverage study."""
@@ -194,6 +214,7 @@ class TrialConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
             if m in _MEAN_ONLY_METHODS and self.estimand.kind != "mean":
                 raise ValueError(f"method {m!r} supports the mean estimand only")
+            _check_binary_predictions(m, self.estimand.kind, self.learner)
         if self.display_trials < 0:
             raise ValueError("display_trials must be >= 0")
         object.__setattr__(self, "n_grid", tuple(self.n_grid))

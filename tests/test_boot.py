@@ -20,7 +20,8 @@ from ppboot import (
     ppboot_point_estimate,
     tune_lambda,
 )
-from ppboot.boot import resample_estimates
+from ppboot import boot, estimators
+from ppboot.boot import interval_resamplers, resample_estimates
 from ppboot.resampling import PHASE_TUNING
 from conftest import make_pair
 
@@ -216,8 +217,37 @@ class TestArgumentChecks:
             return RngStream(0, (b, r))
 
         with pytest.raises(ValueError, match=f"^{message}$"):
-            resample_estimates(labeled, unlabeled, spec, 10, substream, 2)
+            resample_estimates(interval_resamplers(labeled, unlabeled, spec), 10, substream, 2)
         assert drawn == []
+
+
+class TestOneMergePerSide:
+    """An interval checks and merges each side once and checks retention once."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "tuned"])
+    @pytest.mark.parametrize("kind", ["mean", "ols_coef"])
+    def test_each_side_merged_once(self, monkeypatch, stream, mode, kind):
+        labeled, unlabeled = make_pair(n=30, N=60, seed=40, d=2)
+        merged, retained = [], []
+        merge, check = estimators.canonical_resampler, boot.require_retained
+
+        def counting_merge(spec, features, outcomes):
+            merged.append(id(outcomes))
+            return merge(spec, features, outcomes)
+
+        def counting_check(draws, B):
+            retained.append(B)
+            check(draws, B)
+
+        # Every module that may merge a side looks the function up by name.
+        for module in (estimators, boot):
+            monkeypatch.setattr(module, "canonical_resampler", counting_merge)
+        monkeypatch.setattr(boot, "require_retained", counting_check)
+        cfg = BootstrapConfig(B=40, lambda_mode=mode, lambda_value=0.5, tuning_B=30)
+        ppboot_interval(labeled, unlabeled, EstimandSpec(kind), cfg, stream)
+        sides = [id(labeled.outcomes), id(labeled.predictions), id(unlabeled.predictions)]
+        assert sorted(merged) == sorted(sides)
+        assert retained == [40]
 
 
 class TestTuneLambda:

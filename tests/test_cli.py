@@ -10,6 +10,7 @@ import pytest
 
 import ppboot
 from ppboot.cli import main
+from ppboot.estimators import CHUNK_BYTES
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 LABELED = os.path.join(FIXTURES, "labeled.csv")
@@ -226,6 +227,23 @@ class TestStudy:
                      "'delimiter'", id="unknown-csv-key"),
         # The study's --seed is the master seed, so the config cannot set it.
         pytest.param({"bootstrap": {"B": 150, "master_seed": 12345}}, "'master_seed'", id="master-seed-key"),
+        # Binary estimands need 0/1 predictions, which fold averages and
+        # most learners never give.
+        pytest.param({"estimand": {"kind": "logistic_coef"}, "methods": ["ppboot", "cross-ppboot"],
+                      "crossfit": {"learner": {"kind": "logistic_irls"}}},
+                     "method 'cross-ppboot' cannot run estimand 'logistic_coef' with learner 'logistic_irls'",
+                     id="cross-logistic"),
+        pytest.param({"estimand": {"kind": "log_odds_ratio"}, "methods": ["cross-ppboot"],
+                      "crossfit": {"learner": {"kind": "knn", "k": 1}}},
+                     "method 'cross-ppboot' cannot run estimand 'log_odds_ratio' with learner 'knn' (k=1)",
+                     id="cross-log-odds-knn-1"),
+        pytest.param({"estimand": {"kind": "logistic_coef"}, "methods": ["split-ppboot"]},
+                     "method 'split-ppboot' cannot run estimand 'logistic_coef' with learner 'linear_least_squares'",
+                     id="split-logistic-linear"),
+        pytest.param({"estimand": {"kind": "log_odds_ratio"}, "methods": ["split-ppboot"],
+                      "crossfit": {"learner": {"kind": "knn", "k": 3}}},
+                     "method 'split-ppboot' cannot run estimand 'log_odds_ratio' with learner 'knn' (k=3)",
+                     id="split-log-odds-knn-3"),
     ])
     def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys, overrides, named):
         cfg = study_config(tmp_path, **overrides)
@@ -264,14 +282,18 @@ class TestStudy:
 class TestBlasThreads:
     """Reports do not depend on how many threads the BLAS library runs."""
 
-    @pytest.mark.parametrize("estimand", ["ols_coef", "logistic_coef", "pearson_corr"])
+    @pytest.mark.parametrize("estimand", ["ols_coef", "logistic_coef", "pearson_corr", "log_odds_ratio"])
     def test_infer_output_is_byte_identical(self, tmp_path, estimand):
         g = np.random.default_rng(23)
         # Over 10^4 unlabeled rows: OpenBLAS threads dot products that long.
         rows = 10_400
+        # B = 40 resamples span several chunks of the engine's count matrix.
+        assert 40 > CHUNK_BYTES // (8 * (rows - 200))
         X = g.standard_normal((rows, 3))
         eta = X @ np.array([0.8, -0.5, 0.3])
-        if estimand == "logistic_coef":
+        if estimand == "log_odds_ratio":
+            X[:, 0] = (X[:, 0] > 0.0).astype(float)
+        if estimand in ("logistic_coef", "log_odds_ratio"):
             y = (g.random(rows) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         else:
             y = eta + g.standard_normal(rows)

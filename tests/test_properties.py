@@ -2,16 +2,18 @@
 
 Data are small and drawn from a handful of values, so ties, duplicate rows and
 0/1 columns are the rule rather than the exception.  Results are compared bit
-for bit, except that weighted kernels on merged rows are compared with the
-same estimators on the unmerged rows at 1e-12, and that affine maps of the
-data, which change the rounding, are checked to a relative 1e-9 (the
-quantile's order statistic still bit for bit).
+for bit, except that merged weighted rows are compared with the same
+estimators on the unmerged rows at 1e-12, the chunked engine with the
+reference formulas at 1e-12 (the log odds ratio's table bit for bit), and
+that affine maps of the data, which change the rounding, are checked to a
+relative 1e-9 (the quantile's order statistic still bit for bit).
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +29,14 @@ from ppboot import (
     ppboot_draws,
     ppboot_interval,
 )
+from ppboot import estimators
 from ppboot.estimators import (
     ESTIMAND_KINDS,
     OUTCOME_ONLY_KINDS,
     EstimateValue,
+    _pearson_two_pass,
     canonical_resampler,
+    fit_least_squares,
     fit_logistic,
     with_intercept,
 )
@@ -313,3 +318,144 @@ def test_ppboot_mean_interval_shifts_with_the_data(problem, seed, mode, c):
     assert abs(after.lambda_used - before.lambda_used) <= 1e-9
     for end in ("lower", "upper", "point_estimate"):
         assert abs(getattr(after, end) - (getattr(before, end) + c)) <= tol
+
+
+@st.composite
+def engine_problems(draw, kinds: tuple[str, ...] = MERGED_KINDS):
+    """A spec of a chunked-engine kind and a sample that also reaches its fallbacks.
+
+    Rows come from a few values with signed zeros, so singular designs and
+    constant columns are common.  A continuous feature may also be shifted
+    by 1e3, which makes a design with an intercept ill-conditioned and
+    Pearson's raw moments cancel, or set to 0.1, a constant whose mean is
+    inexact.
+    """
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(1, 3))
+    spec = EstimandSpec(
+        kind,
+        target_index=draw(st.integers(0, d - 1)),
+        intercept=draw(st.booleans()),
+        feature_column=draw(st.integers(0, d - 1)),
+    )
+    binary = [kind == "log_odds_ratio" and j == 0 for j in range(d)] + [kind in ("logistic_coef", "log_odds_ratio")]
+    rows = draw(table(draw(st.integers(d + 3, 12)), binary, signed_zeros=True))
+    X, y = rows[:, :d], rows[:, d]
+    for j in range(d):
+        change = "none" if binary[j] else draw(st.sampled_from(("none", "shift", "constant")))
+        if change == "shift":
+            X[:, j] += 1000.0
+        elif change == "constant":
+            X[:, j] = 0.1
+    return spec, X, y
+
+
+def draws_of(data, m: int, count: int) -> list[np.ndarray]:
+    return [np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), dtype=np.intp)
+            for _ in range(count)]
+
+
+def reference_estimate(spec, X, y) -> EstimateValue:
+    """The reference formulas on one resample: fit_least_squares, the centred two-pass Pearson, the 2x2 table.
+
+    The rows are merged into counts as the engine merges them, so a resample
+    the engine screens out must match bit for bit.
+    """
+    if spec.kind == "log_odds_ratio":
+        return unmerged_estimate(spec, X, y)
+    columns = [spec.feature_column] if spec.kind == "pearson_corr" else list(range(X.shape[1]))
+    rows, counts = np.unique(np.column_stack([y, X[:, columns]]) + 0.0, axis=0, return_counts=True)
+    y_rows, X_rows, w = rows[:, 0], rows[:, 1:], counts.astype(np.float64)
+    if spec.kind == "pearson_corr":
+        return _pearson_two_pass(X_rows[:, 0], y_rows, w)
+    design = with_intercept(X_rows) if spec.intercept else X_rows
+    beta, rank = fit_least_squares(design, y_rows, w)
+    if rank < design.shape[1]:
+        return EstimateValue(math.nan, "singular design")
+    return EstimateValue(float(beta[spec.target_index]))
+
+
+@MERGE_SETTINGS
+@given(engine_problems(), st.data())
+def test_engine_estimate_is_the_same_alone_and_anywhere_in_a_chunk(problem, data):
+    spec, X, y = problem
+    resampler = canonical_resampler(spec, X, y)
+    draws = draws_of(data, y.size, 7)
+    alone = [resampler(idx) for idx in draws]
+    for length in (2, 3, 7):
+        chunks = [draws[start:start + length] for start in range(0, len(draws), length)]
+        chunked = [e for chunk in chunks for e in resampler.estimates(chunk, len(chunk))]
+        assert all(same_estimate(a, c) for a, c in zip(alone, chunked, strict=True))
+    # Reversed, every draw takes another position.
+    reversed_ = resampler.estimates(draws[::-1], len(draws))
+    assert all(same_estimate(a, c) for a, c in zip(alone[::-1], reversed_, strict=True))
+
+
+@MERGE_SETTINGS
+@given(engine_problems(kinds=("ols_coef", "pearson_corr", "log_odds_ratio")), st.data())
+def test_engine_agrees_with_the_reference_formulas(problem, data):
+    spec, X, y = problem
+    resampler = canonical_resampler(spec, X, y)
+    draws = draws_of(data, y.size, 4)
+    for idx, estimate in zip(draws, resampler.estimates(draws, len(draws)), strict=True):
+        expected = reference_estimate(spec, X[idx], y[idx])
+        if spec.kind == "log_odds_ratio":
+            assert same_estimate(estimate, expected)
+        else:
+            assert close_estimate(estimate, expected)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Record each call of ``estimators.<name>``."""
+    calls, original = [], getattr(estimators, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, wrapper)
+    return calls
+
+
+class TestEngineFallback:
+    """The screens hand exactly the ill-conditioned resamples to the reference formulas."""
+
+    X = np.array([[-1.5, 0.0], [0.0, 1.0], [0.5, 2.25], [1.0, 0.5], [2.25, 1.0], [0.5, -1.5]])
+    y = np.array([0.5, -1.5, 2.25, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("feature, reason, fallback", [
+        pytest.param("as-is", None, False, id="well-conditioned"),
+        pytest.param("shifted", None, True, id="shifted-by-1e3"),
+        pytest.param("duplicate", "singular design", True, id="duplicate-column"),
+    ])
+    def test_ols(self, monkeypatch, feature, reason, fallback):
+        X = self.X.copy()
+        X[:, 1] = {"as-is": X[:, 1], "shifted": X[:, 1] + 1000.0, "duplicate": X[:, 0]}[feature]
+        calls = counted(monkeypatch, "fit_least_squares")
+        spec = EstimandSpec("ols_coef", target_index=0)
+        estimate = evaluate(spec, X, self.y)
+        assert bool(calls) == fallback
+        assert close_estimate(estimate, reference_estimate(spec, X, self.y))
+        assert estimate.reason == reason
+
+    @pytest.mark.parametrize("feature, reason, fallback", [
+        pytest.param("as-is", None, False, id="well-conditioned"),
+        pytest.param("shifted", None, True, id="shifted-by-1e3"),
+        pytest.param("constant", "constant variable", True, id="constant-with-inexact-mean"),
+    ])
+    def test_pearson(self, monkeypatch, feature, reason, fallback):
+        X = self.X.copy()
+        X[:, 0] = {"as-is": X[:, 0], "shifted": X[:, 0] + 1000.0, "constant": np.full(6, 0.1)}[feature]
+        calls = counted(monkeypatch, "_pearson_two_pass")
+        spec = EstimandSpec("pearson_corr", feature_column=0)
+        estimate = evaluate(spec, X, self.y)
+        assert bool(calls) == fallback
+        assert close_estimate(estimate, reference_estimate(spec, X, self.y))
+        assert estimate.reason == reason
+
+    def test_logistic_singular_design_takes_the_reference_rank(self, monkeypatch):
+        X = np.column_stack([self.X[:, 0], self.X[:, 0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        calls = counted(monkeypatch, "fit_least_squares")
+        assert evaluate(EstimandSpec("logistic_coef"), X, y).reason == "singular design"
+        assert len(calls) == 1
