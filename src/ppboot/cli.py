@@ -56,8 +56,9 @@ def _build_parser() -> _Parser:
     lam.add_argument("--lambda", dest="lam", type=float, default=None, help="fixed prediction multiplier")
     infer.add_argument("--method", choices=INFER_METHODS, default="ppboot")
     infer.add_argument("--crossfit", type=int, default=None, metavar="K", help="train fold models instead of using a prediction column")
-    infer.add_argument("--learner", choices=LEARNER_KINDS, default="linear_least_squares")
-    infer.add_argument("--knn-k", type=int, default=5)
+    infer.add_argument("--learner", choices=LEARNER_KINDS, default=None,
+                       help="fold model for --crossfit (default linear_least_squares)")
+    infer.add_argument("--knn-k", type=int, default=None, help="neighbours for --learner knn (default 5)")
     infer.set_defaults(func=cmd_infer)
 
     study = sub.add_parser("study", help="Monte Carlo coverage study from a JSON config")
@@ -103,7 +104,21 @@ def _bootstrap_config(args, seed: int) -> BootstrapConfig:
     return BootstrapConfig(B=args.B, alpha=args.alpha, lambda_mode=mode, lambda_value=value, master_seed=seed)
 
 
+def _learner_from_args(args) -> LearnerSpec | None:
+    """The fold learner for ``--crossfit``; learner flags without it are an error."""
+    if args.crossfit is None:
+        for flag, value in (("--learner", args.learner), ("--knn-k", args.knn_k)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --crossfit only")
+        return None
+    kind = args.learner or "linear_least_squares"
+    if args.knn_k is not None and kind != "knn":
+        raise ValueError(f"--knn-k applies to --learner knn only, not {kind!r}")
+    return LearnerSpec(kind) if args.knn_k is None else LearnerSpec(kind, args.knn_k)
+
+
 def cmd_infer(args) -> int:
+    learner_spec = _learner_from_args(args)
     seed = args.seed
     if seed is None:
         print("ppboot: warning: --seed not given, defaulting to 0", file=sys.stderr)
@@ -121,8 +136,8 @@ def cmd_infer(args) -> int:
             raise ValueError("--crossfit applies to --method ppboot only")
         features, outcomes, _ = read_table(args.labeled, schema, need_outcome=True, need_prediction=False)
         unl_features, _, _ = read_table(args.unlabeled, schema, need_outcome=False, need_prediction=False)
-        learner = make_learner(LearnerSpec(args.learner, args.knn_k))
-        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit, learner, stream)
+        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit,
+                                   make_learner(learner_spec), stream)
     elif args.method == "ppboot":
         labeled = load_csv(args.labeled, schema, expect="labeled")
         unlabeled = load_csv(args.unlabeled, schema, expect="unlabeled")

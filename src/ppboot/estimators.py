@@ -36,6 +36,7 @@ bootstrap loops can redraw.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -87,10 +88,17 @@ class EstimateValue:
     ``reason`` is ``None`` for a clean estimate.  A non-``None`` reason marks
     the sample as degenerate for this estimand; ``value`` may still be finite
     when a documented correction applies (e.g. zero-cell-corrected odds).
+    A clean estimate is finite: a non-finite value given without a reason
+    gets the reason ``"non-finite estimate"``, so an unforeseen overflow
+    never passes as a value.
     """
 
     value: float
     reason: str | None = None
+
+    def __post_init__(self):
+        if self.reason is None and not math.isfinite(self.value):
+            object.__setattr__(self, "reason", "non-finite estimate")
 
     @property
     def ok(self) -> bool:
@@ -270,6 +278,11 @@ def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateVa
     # nonzero centred sum of squares.  The merged rows are sorted by y.
     if y[0] == y[-1] or np.all(x == x[0]):
         return EstimateValue(float("nan"), "constant variable")
+    # Scaling by a power of two into [-1, 1] is exact, so a normal-range
+    # sample keeps its bits, and the squares and their product stay in range
+    # at any magnitude.
+    x = np.ldexp(x, -int(np.frexp(np.max(np.abs(x)))[1]))
+    y = np.ldexp(y, -int(np.frexp(np.max(np.abs(y)))[1]))
     # np.sum, not np.dot: BLAS splits long dot products across its threads,
     # which would tie the bits to the thread count.
     total = np.sum(w)
@@ -277,7 +290,7 @@ def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateVa
     yc = y - np.sum(w * y) / total
     wxc = w * xc
     denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
-    if denom == 0.0:  # the squares underflowed
+    if denom == 0.0:  # a guard: after the scaling the squares cannot underflow
         return EstimateValue(float("nan"), "constant variable")
     return EstimateValue(float(np.sum(wxc * yc) / denom))
 
@@ -301,8 +314,10 @@ def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         p = X.shape[1]
         pairs = [(X[:, i], X[:, j]) for i in range(p) for j in range(i, p)] + [(X[:, i], t) for i in range(p)]
     stats = np.empty((y.size, len(pairs)))
-    for c, (a, b) in enumerate(pairs):
-        np.multiply(a, b, out=stats[:, c])
+    # A product may overflow; _split_bands and the screens handle infinities.
+    with np.errstate(over="ignore"):
+        for c, (a, b) in enumerate(pairs):
+            np.multiply(a, b, out=stats[:, c])
     return stats
 
 
@@ -452,8 +467,10 @@ class Resampler:
             counts[k] = np.bincount(self.row_id[idx], minlength=self.rows)
         # Starting from +0.0 also turns a -0.0 band sum into 0.0.
         sums = np.zeros((count, self.bands[0][1].shape[1]))
-        for rows, values in self.bands:
-            sums = sums + (counts @ values if rows is None else counts[:, rows] @ values)
+        # Overflowed statistics make these sums inf or NaN, which the screens reject.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, values in self.bands:
+                sums = sums + (counts @ values if rows is None else counts[:, rows] @ values)
         if spec.kind == "log_odds_ratio":
             return [_log_odds_ratio(*cells) for cells in sums.tolist()]
         if spec.kind == "pearson_corr":

@@ -139,6 +139,16 @@ def loo_onenn_cross_ppboot(features, outcomes, unlabeled_features, B: int, alpha
     return lower, upper, values
 
 
+def knn_tensor_predict(features, outcomes, queries, k: int) -> np.ndarray:
+    """Mean outcome of the k nearest training rows, from the full (queries x rows x features) tensor."""
+    X = np.asarray(features, dtype=float)
+    Q = np.asarray(queries, dtype=float)
+    k = min(k, X.shape[0])
+    d2 = np.sum((Q[:, None, :] - X[None, :, :]) ** 2, axis=2)
+    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    return np.mean(np.asarray(outcomes, dtype=float)[nearest], axis=1)
+
+
 def logistic_loglik(features, outcomes, intercept_val: float, slope: float) -> float:
     x = np.asarray(features, dtype=float).ravel()
     y = np.asarray(outcomes, dtype=float)

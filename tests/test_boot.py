@@ -1,6 +1,7 @@
 """Core bootstrap behavior: combination identities, tuning, and determinism."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -182,6 +183,31 @@ class TestDegenerateHandling:
         draws = ppboot_draws(labeled, unlabeled, spec, 1.0, 60, stream, max_degenerate_retries=10)
         assert draws.values.size + draws.degenerate_iterations == 60
         assert draws.values.size > 0
+
+    def test_non_finite_estimate_is_never_kept(self, stream):
+        class NonFinite:
+            size = rows = 5
+
+            def estimates(self, draws, count):
+                return [estimators.EstimateValue(math.inf if k % 2 else math.nan) for k, _ in enumerate(draws)]
+
+        rows, dropped = resample_estimates((NonFinite(),), 6, lambda b, r: stream.child(b, r), 2)
+        assert rows.shape == (0, 1) and dropped == 6
+
+    def test_pearson_interval_at_1e160_is_finite(self, stream):
+        # At 1e160 the squares overflow: without the power-of-two scaling the
+        # bounds came out NaN with no degenerate iteration.
+        labeled, unlabeled = make_pair(n=40, N=200, seed=5)
+        big_labeled = LabeledDataset(labeled.features * 1e160, labeled.outcomes * 1e160, labeled.predictions * 1e160)
+        big_unlabeled = UnlabeledDataset(unlabeled.features * 1e160, unlabeled.predictions * 1e160)
+        spec = EstimandSpec("pearson_corr")
+        cfg = BootstrapConfig(B=100)
+        big = ppboot_interval(big_labeled, big_unlabeled, spec, cfg, stream)
+        base = ppboot_interval(labeled, unlabeled, spec, cfg, stream)
+        assert big.degenerate_iterations == base.degenerate_iterations == 0
+        for field in ("lower", "upper", "point_estimate"):
+            assert math.isfinite(getattr(big, field))
+            assert getattr(big, field) == pytest.approx(getattr(base, field), abs=1e-12)
 
     def test_degenerate_point_estimate_raises(self):
         labeled = LabeledDataset([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])

@@ -132,6 +132,20 @@ class TestInfer:
         payload = json.loads(out)
         assert payload["lower"] <= payload["point"] <= payload["upper"]
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param({"--learner": "knn", "--knn-k": "0"}, "--learner applies to --crossfit only",
+                     id="learner-without-crossfit"),
+        pytest.param({"--knn-k": "3"}, "--knn-k applies to --crossfit only", id="knn-k-without-crossfit"),
+        pytest.param({"--crossfit": "5", "--knn-k": "0"},
+                     "--knn-k applies to --learner knn only, not 'linear_least_squares'", id="knn-k-default-learner"),
+        pytest.param({"--crossfit": "5", "--learner": "logistic_irls", "--knn-k": "3"},
+                     "--knn-k applies to --learner knn only, not 'logistic_irls'", id="knn-k-logistic-learner"),
+    ])
+    def test_learner_flags_out_of_place_exit_2(self, capsys, flags, message):
+        code, out, err = run_cli(infer_args(**flags), capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"ppboot: error: {message}"]
+
     def test_imputed_needs_unlabeled(self, capsys):
         code, _, err = run_cli(infer_args(**{"--method": "imputed", "--unlabeled": None}), capsys)
         assert code == 2

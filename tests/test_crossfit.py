@@ -169,6 +169,21 @@ class TestKNearestPredict:
         assert predictions.shape == (5000,)
         assert peak < 20 * 2**20
 
+    def test_memory_is_bounded_with_wide_rows(self):
+        # At 40 features the tensor would take 5000 * 500 * 40 * 8 bytes =
+        # 800 MB, and predict keeps ten planes alive at once.
+        g = np.random.default_rng(42)
+        predict = KNearestLearner(5).fit(g.standard_normal((500, 40)), g.standard_normal(500))
+        queries = g.standard_normal((5000, 40))
+        tracemalloc.start()
+        try:
+            predictions = predict(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert predictions.shape == (5000,)
+        assert peak < 20 * 2**20
+
 
 class TestAssemble:
     def test_identical_models_average_to_single_model(self):

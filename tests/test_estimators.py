@@ -191,6 +191,17 @@ class TestPearsonCorr:
         assert not est.ok and est.reason == "constant variable"
         assert math.isnan(est.value)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_large_magnitudes_match_unscaled(self, scale):
+        # The centred squares' product overflows at 1e100 and the squares
+        # themselves at 1e160.
+        g = np.random.default_rng(14)
+        x = g.standard_normal((50, 1))
+        y = 0.5 * x[:, 0] + g.standard_normal(50)
+        est = est_pearson_corr(x * scale, y * scale, 0)
+        assert est.ok
+        assert est.value == pytest.approx(est_pearson_corr(x, y, 0).value, abs=1e-12)
+
     def test_range(self):
         g = np.random.default_rng(13)
         for _ in range(50):

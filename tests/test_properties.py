@@ -6,17 +6,21 @@ for bit, except that merged weighted rows are compared with the same
 estimators on the unmerged rows at 1e-12, the chunked engine with the
 reference formulas at 1e-12 (the log odds ratio's table bit for bit), and
 that affine maps of the data, which change the rounding, are checked to a
-relative 1e-9 (the quantile's order statistic still bit for bit).
+relative 1e-9 (the quantile's order statistic still bit for bit).  kNN
+predictions, whose distances are summed plane by plane, are compared bit for
+bit with the full distance tensor.
 """
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from ppboot import (
     BootstrapConfig,
     EstimandSpec,
@@ -29,7 +33,7 @@ from ppboot import (
     ppboot_draws,
     ppboot_interval,
 )
-from ppboot import estimators
+from ppboot import crossfit, estimators
 from ppboot.estimators import (
     ESTIMAND_KINDS,
     OUTCOME_ONLY_KINDS,
@@ -403,6 +407,61 @@ def test_engine_agrees_with_the_reference_formulas(problem, data):
             assert same_estimate(estimate, expected)
         else:
             assert close_estimate(estimate, expected)
+
+
+@st.composite
+def knn_problems(draw, d=st.integers(1, 40)):
+    """``(X, y, queries, k, chunk)`` on a one-decimal grid, so distances tie.
+
+    In half the problems the training rows permute one row's coordinates
+    and each query repeats one value, so the distances are equal in exact
+    arithmetic and only the order of the additions decides their last bits
+    and the neighbours.  k runs from 1 to past the training row count, and
+    the queries fill two to four chunks of ``chunk`` rows plus a ragged tail.
+    """
+    d = draw(d)
+    n = draw(st.integers(1, 60))
+    chunk = draw(st.integers(2, 6))
+    m = chunk * draw(st.integers(2, 4)) + draw(st.integers(1, chunk - 1))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from((0.3, 1.0, 3.0)))
+    if draw(st.booleans()):
+        X = g.permuted(np.tile(np.round(g.uniform(-spread, spread, d), 1), (n, 1)), axis=1)
+        Q = np.tile(np.round(g.uniform(-spread, spread, (m, 1)), 1), (1, d))
+    else:
+        X = np.round(g.uniform(-spread, spread, (n, d)), 1)
+        Q = np.round(g.uniform(-spread, spread, (m, d)), 1)
+    return X, g.standard_normal(n), Q, draw(st.integers(1, n + 3)), chunk
+
+
+def assert_knn_is_the_tensor_formula(problem):
+    X, y, Q, k, chunk = problem
+    budget = chunk * X.shape[0] * crossfit._live_planes(X.shape[1])
+    with mock.patch.object(crossfit, "KNN_CHUNK_ELEMENTS", budget):
+        predict = crossfit.KNearestLearner(k).fit(X, y)
+    assert predict(Q).tobytes() == ref.knn_tensor_predict(X, y, Q, k).tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(knn_problems())
+def test_knn_predictions_are_bitwise_the_tensor_formula(problem):
+    assert_knn_is_the_tensor_formula(problem)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=20)
+@given(knn_problems(d=st.sampled_from((129, 200, 249, 300))))
+def test_knn_predictions_past_128_features_are_bitwise_the_tensor_formula(problem):
+    # numpy's pairwise summation halves more than 128 numbers at a multiple of 8.
+    assert_knn_is_the_tensor_formula(problem)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_plane_sum_is_bitwise_numpy_sum(d, seed):
+    g = np.random.default_rng(seed)
+    terms = g.standard_normal((3, 4, d)) * np.exp2(g.integers(-30, 30, (3, 4, d)))
+    total = crossfit._pairwise_planes(lambda j: terms[..., j].copy(), 0, d)
+    assert total.tobytes() == np.sum(terms, axis=2).tobytes()
 
 
 def counted(monkeypatch, name: str) -> list:
