@@ -18,8 +18,8 @@ from .baselines import (
 )
 from .boot import (
     BootstrapConfig,
-    BootstrapDraws,
     ConfidenceInterval,
+    interval_resamplers,
     ppboot_draws,
     ppboot_interval,
     ppboot_point_estimate,
@@ -78,7 +78,6 @@ from .resampling import (
 
 __all__ = [
     "BootstrapConfig",
-    "BootstrapDraws",
     "ConfidenceInterval",
     "DataError",
     "EstimandSpec",
@@ -116,6 +115,7 @@ __all__ = [
     "evaluate",
     "generate_synthetic",
     "imputed_interval",
+    "interval_resamplers",
     "load_csv",
     "make_learner",
     "partition_folds",

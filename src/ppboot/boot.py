@@ -10,17 +10,25 @@ The multiplier ``lam`` controls reliance on the predictions: 1 is the plain
 combination, 0 falls back to the classical bootstrap of the labeled outcomes
 (the loop then resamples the labeled outcomes only), and ``tuned`` estimates
 the variance-minimizing multiplier from an initial bootstrap on disjoint
-streams.  Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`.  An interval checks and merges each side
-(labeled outcomes, labeled predictions, unlabeled predictions) once, in
-:func:`interval_resamplers`; tuning, the main loop and the point estimate,
-which is each side's identity resample, share the result.  The loop draws a
-chunk of iterations at a time, sized so that the largest side's count matrix
-stays within ``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations at 9800
-merged rows), has each side estimate the whole chunk in one reduction, and
-redraws only the degenerate members.  Mean and quantile evaluate each drawn
-sample in the same loop.  The interval is the percentile interval of the
-retained iteration values.
+streams.  :func:`ppboot_interval` runs the public steps in order, each on
+the interval's sides:
+
+1. :func:`interval_resamplers` checks and merges each side (labeled
+   outcomes, labeled predictions, unlabeled predictions) once; at
+   ``lam == 0`` only the labeled outcomes.
+2. :func:`tune_lambda` (``tuned`` only) estimates the multiplier.
+3. :func:`ppboot_draws` runs the main loop and combines each iteration.
+4. :func:`require_retained` fails an interval that kept under half of them.
+5. :func:`ppboot_point_estimate` combines each side's identity resample.
+6. :func:`percentile_interval` reads off the interval.
+
+Main, classical and tuning draws all come from one loop,
+:func:`resample_estimates`.  It draws a chunk of iterations at a time,
+sized so that the largest side's count matrix stays within
+``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations at 9800 merged
+rows), has each side estimate the whole chunk in one reduction, and redraws
+only the degenerate members.  Mean and quantile evaluate each drawn sample
+in the same loop.
 """
 
 from __future__ import annotations
@@ -112,32 +120,23 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True, eq=False)
-class BootstrapDraws:
-    """Retained per-iteration bootstrap values; dropped iterations counted."""
+def interval_resamplers(
+    labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, spec: EstimandSpec, lam: float = 1.0
+) -> tuple[Resampler, ...]:
+    """Check and merge each side of an interval once: the first step.
 
-    values: np.ndarray
-    degenerate_iterations: int
-
-
-def _check_pair(labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, lam: float = 1.0) -> None:
+    The labeled outcomes, and unless ``lam == 0`` also the labeled and the
+    unlabeled predictions, in that order.  ``unlabeled`` may be ``None`` only
+    when ``lam == 0`` (the classical bootstrap); when given, its feature
+    width must match, whatever ``lam`` is.
+    """
     if unlabeled is None:
         if lam != 0.0:
             raise ValueError("unlabeled data is required unless the multiplier is 0")
     elif labeled.d != unlabeled.d:
         raise ValueError(f"feature width mismatch: labeled d={labeled.d}, unlabeled d={unlabeled.d}")
-
-
-def interval_resamplers(
-    labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, spec: EstimandSpec
-) -> tuple[Resampler, ...]:
-    """Check and merge each side of an interval once.
-
-    The labeled outcomes, and with ``unlabeled`` also the labeled and the
-    unlabeled predictions, in that order.
-    """
     outcome = canonical_resampler(spec, labeled.features, labeled.outcomes)
-    if unlabeled is None:
+    if lam == 0.0:
         return (outcome,)
     return (
         outcome,
@@ -207,97 +206,32 @@ def resample_estimates(
     return rows[kept], B - int(np.count_nonzero(kept))
 
 
-def _point_estimate(sides: tuple[Resampler, ...], lam: float) -> float:
-    """Debiased point estimate: the identity resample of each side."""
-    names = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
-    ests = []
-    for name, side in zip(names, sides if lam != 0.0 else sides[:1]):
-        e = side(np.arange(side.size))
-        if not e.ok:
-            raise EstimationError(f"degenerate point estimate on {name}: {e.reason}")
-        ests.append(e.value)
+def _combine(estimates, lam: float):
+    """The PPBoot value of per-side estimates; the labeled outcomes' alone at ``lam == 0``."""
     if lam == 0.0:
-        return ests[0]
-    lab, pred, unl = ests
+        return estimates[0]
+    lab, pred, unl = estimates
+    # Grouping the labeled difference keeps the cancellation exact when
+    # predictions coincide with outcomes.
     return lam * unl + (lab - lam * pred)
 
 
-def ppboot_point_estimate(
-    labeled: LabeledDataset, unlabeled: UnlabeledDataset | None, spec: EstimandSpec, lam: float = 1.0
-) -> float:
-    """Debiased point estimate on the original (non-resampled) data.
+def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) -> float:
+    """Estimate the variance-minimizing prediction multiplier from the three sides.
 
-    With ``lam == 0`` only the labeled outcomes are evaluated, so
-    ``unlabeled`` may be ``None``: that is the classical estimate.
+    Runs an initial bootstrap collecting, per resample, the triple
+    (estimate on labeled outcomes, on labeled predictions, on unlabeled
+    predictions), then returns
+
+        cov(pred, outcome) / (var(pred) + var(unlabeled pred))
+
+    with unbiased sample moments over the retained triples.  Resample ``b``
+    draws on ``stream.child(b)``; degenerate triples are dropped, never
+    redrawn.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0, which
+    disables the prediction terms entirely.
     """
-    _check_pair(labeled, unlabeled, lam)
-    return _point_estimate(interval_resamplers(labeled, None if lam == 0.0 else unlabeled, spec), lam)
-
-
-def _draws(sides: tuple[Resampler, ...], lam: float, B: int, stream: RngStream,
-           max_degenerate_retries: int) -> BootstrapDraws:
-    rows, dropped = resample_estimates(
-        sides if lam != 0.0 else sides[:1], B,
-        lambda b, r: stream.child(PHASE_MAIN, b, r), max_degenerate_retries,
-    )
-    if lam == 0.0:
-        return BootstrapDraws(rows[:, 0].copy(), dropped)
-    lab, pred, unl = rows.T
-    # Grouping the labeled difference keeps the cancellation exact when
-    # predictions coincide with outcomes.
-    return BootstrapDraws(lam * unl + (lab - lam * pred), dropped)
-
-
-def ppboot_draws(
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset | None,
-    spec: EstimandSpec,
-    lam: float,
-    B: int,
-    stream: RngStream,
-    max_degenerate_retries: int = 10,
-) -> BootstrapDraws:
-    """Collect the per-iteration combined bootstrap values.
-
-    Attempt ``r`` of iteration ``b`` draws at ``(..., PHASE_MAIN, b, r)``.
-    With ``lam == 0`` (where ``unlabeled`` may be ``None``) only the labeled
-    outcomes are resampled: this is the classical labeled bootstrap.
-    """
-    _check_pair(labeled, unlabeled, lam)
-    sides = interval_resamplers(labeled, None if lam == 0.0 else unlabeled, spec)
-    return _draws(sides, lam, B, stream, max_degenerate_retries)
-
-
-def require_retained(draws: BootstrapDraws, B: int) -> None:
-    """Fail when fewer than half of the iterations produced usable values."""
-    retained = draws.values.size
-    if 2 * retained < B:
-        raise EstimationError(
-            f"bootstrap failure: only {retained} of {B} iterations usable "
-            f"({draws.degenerate_iterations} degenerate)"
-        )
-
-
-def percentile_interval(
-    draws: BootstrapDraws,
-    alpha: float,
-    point_estimate: float,
-    lambda_used: float,
-) -> ConfidenceInterval:
-    """Percentile interval of the retained values, which :func:`require_retained` has passed."""
-    lower = empirical_quantile(draws.values, alpha / 2.0)
-    upper = empirical_quantile(draws.values, 1.0 - alpha / 2.0)
-    return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        point_estimate=point_estimate,
-        lambda_used=lambda_used,
-        degenerate_iterations=draws.degenerate_iterations,
-        alpha=alpha,
-    )
-
-
-def _tuned_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) -> float:
+    if tuning_B < 2:
+        raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
     rows, _ = resample_estimates(sides, tuning_B, lambda b, r: stream.child(b), 0)
     m = rows.shape[0]
     if m < 2:
@@ -311,30 +245,59 @@ def _tuned_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream
     return cov / denom
 
 
-def tune_lambda(
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    spec: EstimandSpec,
-    tuning_B: int,
-    stream: RngStream,
-) -> float:
-    """Estimate the variance-minimizing prediction multiplier.
+def ppboot_draws(
+    sides: tuple[Resampler, ...], lam: float, B: int, stream: RngStream, max_degenerate_retries: int = 10
+) -> tuple[np.ndarray, int]:
+    """The retained per-iteration combined values, in iteration order, and the dropped count.
 
-    Runs an initial bootstrap collecting, per resample, the triple
-    (estimate on labeled predictions, estimate on labeled outcomes, estimate
-    on unlabeled predictions), then returns
-
-        cov(pred, outcome) / (var(pred) + var(unlabeled pred))
-
-    with unbiased sample moments over the retained triples.  Resample ``b``
-    draws on ``stream.child(b)``; degenerate triples are dropped, never
-    redrawn.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0, which
-    disables the prediction terms entirely.
+    Attempt ``r`` of iteration ``b`` draws at ``(..., PHASE_MAIN, b, r)``.
+    With ``lam == 0`` only the labeled outcomes (the first side) are
+    resampled: this is the classical labeled bootstrap.
     """
-    _check_pair(labeled, unlabeled)
-    if tuning_B < 2:
-        raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
-    return _tuned_lambda(interval_resamplers(labeled, unlabeled, spec), tuning_B, stream)
+    rows, dropped = resample_estimates(
+        sides[:1] if lam == 0.0 else sides, B,
+        lambda b, r: stream.child(PHASE_MAIN, b, r), max_degenerate_retries,
+    )
+    return _combine(rows.T.copy(), lam), dropped
+
+
+def require_retained(values: np.ndarray, dropped: int) -> None:
+    """Fail when fewer than half of the ``values.size + dropped`` iterations produced usable values."""
+    B = values.size + dropped
+    if 2 * values.size < B:
+        raise EstimationError(
+            f"bootstrap failure: only {values.size} of {B} iterations usable ({dropped} degenerate)"
+        )
+
+
+def ppboot_point_estimate(sides: tuple[Resampler, ...], lam: float) -> float:
+    """Debiased point estimate: the identity resample of each side.
+
+    With ``lam == 0`` only the labeled outcomes are evaluated: that is the
+    classical estimate.
+    """
+    names = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
+    ests = []
+    for name, side in zip(names, sides[:1] if lam == 0.0 else sides):
+        e = side(np.arange(side.size))
+        if not e.ok:
+            raise EstimationError(f"degenerate point estimate on {name}: {e.reason}")
+        ests.append(e.value)
+    return _combine(ests, lam)
+
+
+def percentile_interval(
+    values: np.ndarray, dropped: int, alpha: float, point_estimate: float, lambda_used: float
+) -> ConfidenceInterval:
+    """Percentile interval of the retained values, which :func:`require_retained` has passed."""
+    return ConfidenceInterval(
+        lower=empirical_quantile(values, alpha / 2.0),
+        upper=empirical_quantile(values, 1.0 - alpha / 2.0),
+        point_estimate=point_estimate,
+        lambda_used=lambda_used,
+        degenerate_iterations=dropped,
+        alpha=alpha,
+    )
 
 
 def ppboot_interval(
@@ -353,21 +316,21 @@ def ppboot_interval(
     the classical bootstrap.  Each side is checked and merged once, and
     tuning, the main loop and the point estimate share the result.
     """
-    sides = None
     if cfg.lambda_mode == "tuned":
-        _check_pair(labeled, unlabeled)
         sides = interval_resamplers(labeled, unlabeled, spec)
-        lam = _tuned_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING))
+        lam = tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING))
     else:
         lam = 1.0 if cfg.lambda_mode == "off" else float(cfg.lambda_value)
+    # A fixed multiplier is clipped before its sides are built: one clipped to 0
+    # needs no unlabeled data.
     if cfg.clip_lambda:
         lam = min(max(lam, 0.0), 1.0)
-    _check_pair(labeled, unlabeled, lam)
-    if sides is None:
-        sides = interval_resamplers(labeled, None if lam == 0.0 else unlabeled, spec)
-    draws = _draws(sides, lam, cfg.B, stream, cfg.max_degenerate_retries)
-    require_retained(draws, cfg.B)
-    return percentile_interval(draws, cfg.alpha, _point_estimate(sides, lam), lam)
+    if cfg.lambda_mode != "tuned":
+        sides = interval_resamplers(labeled, unlabeled, spec, lam)
+    values, dropped = ppboot_draws(sides, lam, cfg.B, stream, cfg.max_degenerate_retries)
+    # A bootstrap failure takes precedence over a degenerate point estimate.
+    require_retained(values, dropped)
+    return percentile_interval(values, dropped, cfg.alpha, ppboot_point_estimate(sides, lam), lam)
 
 
 def reported_interval(ci: ConfidenceInterval, spec: EstimandSpec) -> ConfidenceInterval:

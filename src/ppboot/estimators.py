@@ -211,13 +211,18 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = 
     Scaling row ``i`` by ``sqrt(w[i])`` gives the singular values of the
     design with row ``i`` repeated ``w[i]`` times, so numpy's default cut,
     ``eps * max(rows, columns)``, taken over the expanded rows makes ``rank``
-    their rank.  With unit weights this is ``lstsq(design, y, rcond=None)``.
+    their rank.  Each column is first scaled by an exact power of two that
+    puts its largest magnitude in [1/2, 1) (a zero column is left alone), so
+    the cut compares columns on one footing: an intercept beside features of
+    magnitude 1e14 is not cut as negligible.  ``beta`` is scaled back.
     """
     w = np.ones(y.size) if w is None else w
     root = np.sqrt(w)
+    # frexp(0) has exponent 0: a zero column keeps its scale.
+    exponent = np.frexp(np.max(np.abs(design), axis=0))[1]
     cut = np.finfo(np.float64).eps * max(np.sum(w), design.shape[1])
-    beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], y * root, rcond=cut)
-    return beta, rank
+    beta, _, rank, _ = np.linalg.lstsq(np.ldexp(design, -exponent) * root[:, None], y * root, rcond=cut)
+    return np.ldexp(beta, -exponent), rank
 
 
 def fit_logistic(

@@ -347,6 +347,8 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     caps the worker processes; with one worker the cells run in this process.
     Results never depend on it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     for n in config.n_grid:
         if not (2 <= n <= full.n - 2):
             raise ValueError(f"n={n} must leave >= 2 rows on each side of a {full.n}-row dataset")

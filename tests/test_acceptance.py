@@ -31,6 +31,7 @@ from ppboot import (
     est_quantile,
     evaluate,
     generate_synthetic,
+    interval_resamplers,
     ppboot_draws,
     ppboot_interval,
     run_coverage_study,
@@ -175,7 +176,7 @@ def test_criterion_02_perfect_prediction_collapse():
     ok = True
     for estimand in (EstimandSpec("mean"), EstimandSpec("quantile", q=0.5)):
         B = 300
-        draws = ppboot_draws(labeled, unlabeled, estimand, 1.0, B, base)
+        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, estimand), 1.0, B, base)
         expected = []
         for b in range(B):
             idx = draw_resample(labeled.n, unlabeled.N, base.child(PHASE_MAIN, b, 0))
@@ -183,7 +184,7 @@ def test_criterion_02_perfect_prediction_collapse():
                 evaluate(estimand, unlabeled.features[idx.unlabeled_idx],
                          unlabeled.predictions[idx.unlabeled_idx]).value
             )
-        ok = ok and sorted(draws.values.tolist()) == sorted(expected)
+        ok = ok and sorted(values.tolist()) == sorted(expected)
     check(2, "perfect-prediction collapse", ok, "mean and median draw multisets match exactly",
           time.time() - start, 5)
 

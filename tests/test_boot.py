@@ -16,13 +16,14 @@ from ppboot import (
     UnlabeledDataset,
     classical_bootstrap_interval,
     draw_resample,
+    interval_resamplers,
     ppboot_draws,
     ppboot_interval,
     ppboot_point_estimate,
     tune_lambda,
 )
 from ppboot import boot, estimators
-from ppboot.boot import interval_resamplers, resample_estimates
+from ppboot.boot import resample_estimates
 from ppboot.resampling import PHASE_TUNING
 from conftest import make_pair
 
@@ -36,16 +37,18 @@ class TestPointEstimate:
         labeled = LabeledDataset(g.standard_normal((6, 1)), y, y)
         unlabeled = UnlabeledDataset(g.standard_normal((9, 1)), g.standard_normal(9))
         expected = float(np.mean(np.sort(unlabeled.predictions)))
-        assert ppboot_point_estimate(labeled, unlabeled, MEAN, 1.0) == expected
+        assert ppboot_point_estimate(interval_resamplers(labeled, unlabeled, MEAN), 1.0) == expected
 
     def test_lambda_zero_is_classical_estimate(self):
         labeled, unlabeled = make_pair(seed=3)
-        assert ppboot_point_estimate(labeled, unlabeled, MEAN, 0.0) == float(np.mean(np.sort(labeled.outcomes)))
+        sides = interval_resamplers(labeled, unlabeled, MEAN, 0.0)
+        assert ppboot_point_estimate(sides, 0.0) == float(np.mean(np.sort(labeled.outcomes)))
 
     def test_hand_arithmetic(self):
         labeled = LabeledDataset([[0.0], [0.0]], [0.0, 1.0], [1.0, 1.0])
         unlabeled = UnlabeledDataset([[0.0]] * 4, [1.0, 1.0, 1.0, 1.0])
-        assert ppboot_point_estimate(labeled, unlabeled, MEAN, 1.0) == pytest.approx(0.5, abs=1e-15)
+        sides = interval_resamplers(labeled, unlabeled, MEAN)
+        assert ppboot_point_estimate(sides, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestLambdaZeroIdentity:
@@ -66,12 +69,12 @@ class TestPerfectPredictionCollapse:
         labeled = LabeledDataset(g.standard_normal((12, 1)), y, y)
         unlabeled = UnlabeledDataset(g.standard_normal((30, 1)), g.standard_normal(30))
         B = 150
-        draws = ppboot_draws(labeled, unlabeled, MEAN, 1.0, B, stream)
+        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, B, stream)
         expected = []
         for b in range(B):
             idx = draw_resample(12, 30, stream.child(2, b, 0))
             expected.append(float(np.mean(np.sort(unlabeled.predictions[idx.unlabeled_idx]))))
-        assert sorted(draws.values.tolist()) == sorted(expected)
+        assert sorted(values.tolist()) == sorted(expected)
 
 
 class TestReferenceOracle:
@@ -122,9 +125,9 @@ class TestIntervalProperties:
     def test_endpoints_are_draw_values(self, stream):
         labeled, unlabeled = make_pair(seed=6)
         cfg = BootstrapConfig(B=173)
-        draws = ppboot_draws(labeled, unlabeled, MEAN, 1.0, cfg.B, stream)
+        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, cfg.B, stream)
         ci = ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
-        assert ci.lower in draws.values and ci.upper in draws.values
+        assert ci.lower in values and ci.upper in values
         assert ci.lower <= ci.upper
 
     def test_shift_equivariance(self, stream):
@@ -141,11 +144,12 @@ class TestIntervalProperties:
 
     def test_shift_leaves_tuned_lambda_unchanged(self, stream):
         labeled, unlabeled = make_pair(n=40, N=80, seed=9)
-        lam = tune_lambda(labeled, unlabeled, MEAN, 200, stream.child(PHASE_TUNING))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 200, stream.child(PHASE_TUNING))
         c = -1.75
         shifted_lab = LabeledDataset(labeled.features, labeled.outcomes + c, labeled.predictions + c)
         shifted_unl = UnlabeledDataset(unlabeled.features, unlabeled.predictions + c)
-        lam_shift = tune_lambda(shifted_lab, shifted_unl, MEAN, 200, stream.child(PHASE_TUNING))
+        shifted_sides = interval_resamplers(shifted_lab, shifted_unl, MEAN)
+        lam_shift = tune_lambda(shifted_sides, 200, stream.child(PHASE_TUNING))
         assert lam_shift == pytest.approx(lam, abs=1e-10)
 
     def test_draw_mean_tracks_truth(self):
@@ -158,9 +162,9 @@ class TestIntervalProperties:
         labeled = LabeledDataset(Xl, y, y + 0.3 * g.standard_normal(n))
         yu = g.standard_normal(N)
         unlabeled = UnlabeledDataset(g.standard_normal((N, 1)), yu + 0.3 * g.standard_normal(N))
-        draws = ppboot_draws(labeled, unlabeled, MEAN, 1.0, 400, RngStream(3))
+        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, 400, RngStream(3))
         se = np.sqrt(0.09 / n + (1.0 + 0.09) / N + 1.0 / n)
-        assert abs(float(np.mean(draws.values))) < 4 * se
+        assert abs(float(np.mean(values))) < 4 * se
 
 
 class TestDegenerateHandling:
@@ -180,9 +184,10 @@ class TestDegenerateHandling:
         labeled = LabeledDataset(e[:, None], y, y)
         unlabeled = UnlabeledDataset((g.random(12) < 0.5).astype(float)[:, None], (g.random(12) < 0.5).astype(float))
         spec = EstimandSpec("log_odds_ratio", exposure_column=0)
-        draws = ppboot_draws(labeled, unlabeled, spec, 1.0, 60, stream, max_degenerate_retries=10)
-        assert draws.values.size + draws.degenerate_iterations == 60
-        assert draws.values.size > 0
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        values, dropped = ppboot_draws(sides, 1.0, 60, stream, max_degenerate_retries=10)
+        assert values.size + dropped == 60
+        assert values.size > 0
 
     def test_non_finite_estimate_is_never_kept(self, stream):
         class NonFinite:
@@ -213,13 +218,20 @@ class TestDegenerateHandling:
         labeled = LabeledDataset([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         unlabeled = UnlabeledDataset([[1.0]] * 4, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(EstimationError, match="degenerate"):
-            ppboot_point_estimate(labeled, unlabeled, EstimandSpec("ols_coef"), 1.0)
+            ppboot_point_estimate(interval_resamplers(labeled, unlabeled, EstimandSpec("ols_coef")), 1.0)
 
     def test_feature_width_mismatch_rejected(self, stream):
         labeled, _ = make_pair(d=2)
         _, unlabeled = make_pair(d=1)
         with pytest.raises(ValueError, match="width"):
             ppboot_interval(labeled, unlabeled, MEAN, BootstrapConfig(B=10), stream)
+
+    def test_feature_width_mismatch_rejected_at_lambda_zero(self, stream):
+        labeled, _ = make_pair(d=2)
+        _, unlabeled = make_pair(d=1)
+        cfg = BootstrapConfig(B=10, lambda_mode="fixed", lambda_value=0.0)
+        with pytest.raises(ValueError, match="^feature width mismatch: labeled d=2, unlabeled d=1$"):
+            ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
 
     @pytest.mark.parametrize("mode", ["off", "tuned"])
     def test_missing_unlabeled_needs_zero_multiplier(self, stream, mode):
@@ -248,32 +260,46 @@ class TestArgumentChecks:
 
 
 class TestOneMergePerSide:
-    """An interval checks and merges each side once and checks retention once."""
+    """An interval checks and merges each side once, checks retention once, and
+    reaches tuning and the point estimate through their public names."""
 
     @pytest.mark.parametrize("mode", ["fixed", "tuned"])
     @pytest.mark.parametrize("kind", ["mean", "ols_coef"])
     def test_each_side_merged_once(self, monkeypatch, stream, mode, kind):
         labeled, unlabeled = make_pair(n=30, N=60, seed=40, d=2)
-        merged, retained = [], []
+        merged, retained, tuned, points = [], [], [], []
         merge, check = estimators.canonical_resampler, boot.require_retained
+        tune, point = boot.tune_lambda, boot.ppboot_point_estimate
 
         def counting_merge(spec, features, outcomes):
             merged.append(id(outcomes))
             return merge(spec, features, outcomes)
 
-        def counting_check(draws, B):
-            retained.append(B)
-            check(draws, B)
+        def counting_check(values, dropped):
+            retained.append(values.size + dropped)
+            check(values, dropped)
+
+        def counting_tune(sides, tuning_B, substream):
+            tuned.append(tuning_B)
+            return tune(sides, tuning_B, substream)
+
+        def counting_point(sides, lam):
+            points.append(len(sides))
+            return point(sides, lam)
 
         # Every module that may merge a side looks the function up by name.
         for module in (estimators, boot):
             monkeypatch.setattr(module, "canonical_resampler", counting_merge)
         monkeypatch.setattr(boot, "require_retained", counting_check)
+        monkeypatch.setattr(boot, "tune_lambda", counting_tune)
+        monkeypatch.setattr(boot, "ppboot_point_estimate", counting_point)
         cfg = BootstrapConfig(B=40, lambda_mode=mode, lambda_value=0.5, tuning_B=30)
         ppboot_interval(labeled, unlabeled, EstimandSpec(kind), cfg, stream)
         sides = [id(labeled.outcomes), id(labeled.predictions), id(unlabeled.predictions)]
         assert sorted(merged) == sorted(sides)
         assert retained == [40]
+        assert tuned == ([30] if mode == "tuned" else [])
+        assert points == [3]
 
 
 class TestTuneLambda:
@@ -282,7 +308,7 @@ class TestTuneLambda:
         n, N = 200, 400
         labeled = LabeledDataset(g.standard_normal((n, 1)), g.standard_normal(n), g.standard_normal(n))
         unlabeled = UnlabeledDataset(g.standard_normal((N, 1)), g.standard_normal(N))
-        lam = tune_lambda(labeled, unlabeled, MEAN, 500, RngStream(21, (PHASE_TUNING,)))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 500, RngStream(21, (PHASE_TUNING,)))
         assert abs(lam) < 0.15
 
     def test_oracle_predictions_large_n_ratio(self):
@@ -291,20 +317,20 @@ class TestTuneLambda:
         y = g.standard_normal(n)
         labeled = LabeledDataset(g.standard_normal((n, 1)), y, y)
         unlabeled = UnlabeledDataset(g.standard_normal((N, 1)), g.standard_normal(N))
-        lam = tune_lambda(labeled, unlabeled, MEAN, 400, RngStream(23, (PHASE_TUNING,)))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 400, RngStream(23, (PHASE_TUNING,)))
         assert 0.9 <= lam <= 1.0
 
     def test_constant_predictions_floor_to_zero(self):
         g = np.random.default_rng(24)
         labeled = LabeledDataset(g.standard_normal((20, 1)), g.standard_normal(20), np.full(20, 2.0))
         unlabeled = UnlabeledDataset(g.standard_normal((30, 1)), np.full(30, 2.0))
-        assert tune_lambda(labeled, unlabeled, MEAN, 100, RngStream(25, (PHASE_TUNING,))) == 0.0
+        assert tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 100, RngStream(25, (PHASE_TUNING,))) == 0.0
 
     def test_tuned_mode_threads_lambda_through(self, stream):
         labeled, unlabeled = make_pair(n=60, N=150, seed=26, pred_noise=0.2)
         cfg = BootstrapConfig(B=150, lambda_mode="tuned", tuning_B=200)
         ci = ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
-        lam = tune_lambda(labeled, unlabeled, MEAN, 200, stream.child(PHASE_TUNING))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 200, stream.child(PHASE_TUNING))
         assert ci.lambda_used == lam
         assert 0.3 < lam < 1.2
 
@@ -314,11 +340,18 @@ class TestTuneLambda:
         ci = ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
         assert ci.lambda_used == 1.0
 
+    def test_fixed_lambda_clipped_to_zero_needs_no_unlabeled_data(self, stream):
+        # Clipping comes before the sides are built, so this is the classical bootstrap.
+        labeled, _ = make_pair(n=12, N=20, seed=27)
+        cfg = BootstrapConfig(B=50, lambda_mode="fixed", lambda_value=-0.5, clip_lambda=True)
+        classical = classical_bootstrap_interval(labeled, MEAN, cfg, stream)
+        assert ppboot_interval(labeled, None, MEAN, cfg, stream) == classical
+
     @pytest.mark.parametrize("kind", ["mean", "quantile"])
     def test_matches_reference_stream_layout(self, kind):
         labeled, unlabeled = make_pair(n=15, N=40, seed=28, pred_noise=0.3)
         spec = EstimandSpec(kind, q=0.3)
-        lam = tune_lambda(labeled, unlabeled, spec, 120, RngStream(29, (4, PHASE_TUNING)))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, spec), 120, RngStream(29, (4, PHASE_TUNING)))
         expected = ref.tune_lambda(
             labeled.outcomes, labeled.predictions, unlabeled.predictions, kind, 120, 29, (4,), q=0.3
         )
@@ -329,7 +362,7 @@ class TestTuneLambda:
         g = np.random.default_rng(30)
         labeled = LabeledDataset(g.standard_normal((10, 1)), g.standard_normal(10), np.full(10, -0.5))
         unlabeled = UnlabeledDataset(g.standard_normal((25, 1)), np.full(25, -0.5))
-        lam = tune_lambda(labeled, unlabeled, MEAN, 50, RngStream(31, (PHASE_TUNING,)))
+        lam = tune_lambda(interval_resamplers(labeled, unlabeled, MEAN), 50, RngStream(31, (PHASE_TUNING,)))
         expected = ref.tune_lambda(labeled.outcomes, labeled.predictions, unlabeled.predictions, "mean", 50, 31)
         assert lam == expected == 0.0
 
@@ -339,7 +372,7 @@ class TestTuneLambda:
         unlabeled = UnlabeledDataset([[1.0]] * 6, [0.0, 1.0] * 3)
         spec = EstimandSpec("log_odds_ratio", exposure_column=0)
         with pytest.raises(EstimationError, match="tuning failure"):
-            tune_lambda(labeled, unlabeled, spec, 20, stream)
+            tune_lambda(interval_resamplers(labeled, unlabeled, spec), 20, stream)
 
 
 class TestConfigValidation:

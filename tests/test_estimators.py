@@ -86,6 +86,19 @@ class TestOlsCoef:
         with pytest.raises(ValueError):
             est_ols_coef([[1.0, 2.0]], [1.0], 0, intercept=True)
 
+    @pytest.mark.parametrize("exponent", [13, 14, 16, 100, 160])
+    def test_large_feature_magnitudes_match_unscaled(self, exponent):
+        # Unscaled, the rank cut dropped the intercept column beside features
+        # of magnitude 1e14 and above, and the design read "singular design".
+        g = np.random.default_rng(15)
+        X = g.standard_normal((50, 2))
+        y = X @ np.array([1.0, -2.0]) + g.standard_normal(50)
+        scale = 10.0 ** exponent
+        for j in range(2):
+            est = est_ols_coef(X * scale, y, j, intercept=True)
+            assert est.ok
+            assert est.value * scale == pytest.approx(est_ols_coef(X, y, j).value, rel=1e-12)
+
 
 class TestLogisticCoef:
     def test_symmetric_zero_slope(self):

@@ -127,6 +127,12 @@ class TestRunCoverageStudy:
         c = run_coverage_study(full, config, threads=4)
         assert a == b == c
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        # These reached the process pool, which failed with its own message.
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            run_coverage_study(_bern_data(), _study_config(), threads=threads)
+
     def test_row_cardinality(self):
         summary = run_coverage_study(_bern_data(), _study_config(n_grid=(40, 60, 80)))
         agg_rows, trial_rows = summarize_to_tables(summary)

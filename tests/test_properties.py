@@ -30,6 +30,7 @@ from ppboot import (
     UnlabeledDataset,
     classical_bootstrap_interval,
     evaluate,
+    interval_resamplers,
     ppboot_draws,
     ppboot_interval,
 )
@@ -252,9 +253,9 @@ def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
             if est.ok:
                 expected.append(bits(est.value))
                 break
-    draws = ppboot_draws(labeled, unlabeled, spec, 0.0, B, stream, RETRIES)
-    assert [bits(v) for v in draws.values] == expected
-    assert draws.degenerate_iterations == B - len(expected)
+    values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, spec, 0.0), 0.0, B, stream, RETRIES)
+    assert [bits(v) for v in values] == expected
+    assert dropped == B - len(expected)
 
     cfg = BootstrapConfig(B=B, lambda_mode="fixed", lambda_value=0.0, max_degenerate_retries=RETRIES)
     assert interval_or_error(labeled, unlabeled, spec, cfg, stream) == interval_or_error(
@@ -276,8 +277,9 @@ def test_interval_endpoints_are_draw_values(problem, seed, mode):
     ci = interval_or_error(labeled, unlabeled, spec, cfg, stream)
     if isinstance(ci, str):
         return
-    draws = ppboot_draws(labeled, unlabeled, spec, ci.lambda_used, cfg.B, stream, RETRIES)
-    values = {bits(v) for v in draws.values}
+    sides = interval_resamplers(labeled, unlabeled, spec, ci.lambda_used)
+    draws, _ = ppboot_draws(sides, ci.lambda_used, cfg.B, stream, RETRIES)
+    values = {bits(v) for v in draws}
     assert bits(ci.lower) in values and bits(ci.upper) in values
     assert ci.lower <= ci.upper
 
