@@ -70,9 +70,7 @@ from .resampling import (
     PHASE_SPLIT,
     PHASE_SYNTHETIC,
     PHASE_TUNING,
-    ResampleIndices,
     RngStream,
-    draw_resample,
     empirical_quantile,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "PHASE_SPLIT",
     "PHASE_SYNTHETIC",
     "PHASE_TUNING",
-    "ResampleIndices",
     "RngStream",
     "SchemaError",
     "SyntheticSpec",
@@ -104,7 +101,6 @@ __all__ = [
     "classical_bootstrap_interval",
     "classical_clt_mean_interval",
     "cross_ppboot_interval",
-    "draw_resample",
     "empirical_quantile",
     "est_log_odds_ratio",
     "est_logistic_coef",

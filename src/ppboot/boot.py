@@ -23,7 +23,10 @@ the interval's sides:
 6. :func:`percentile_interval` reads off the interval.
 
 Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`.  It draws a chunk of iterations at a time,
+:func:`resample_estimates`, with one body for one side or three: an
+attempt's labeled indices are drawn once and shared by the labeled sides,
+and its unlabeled indices are drawn only when the unlabeled side reads
+them.  It draws a chunk of iterations at a time,
 sized so that the largest side's count matrix stays within
 ``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations at 9800 merged
 rows), has each side estimate the whole chunk in one reduction, and redraws
@@ -46,7 +49,7 @@ from .resampling import (
     PHASE_TUNING,
     RngStream,
     draw_labeled_indices,
-    draw_resample,
+    draw_unlabeled_indices,
     empirical_quantile,
 )
 
@@ -54,6 +57,9 @@ LAMBDA_MODES = ("off", "fixed", "tuned")
 
 # Below this, the tuning denominator is treated as zero and lambda falls back to 0.
 TUNING_DENOM_FLOOR = 1e-15
+
+# An interval's sides in order; argument checks and point-estimate failures name them.
+SIDE_NAMES = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
 
 
 @dataclass(frozen=True)
@@ -126,23 +132,20 @@ def interval_resamplers(
     """Check and merge each side of an interval once: the first step.
 
     The labeled outcomes, and unless ``lam == 0`` also the labeled and the
-    unlabeled predictions, in that order.  ``unlabeled`` may be ``None`` only
-    when ``lam == 0`` (the classical bootstrap); when given, its feature
-    width must match, whatever ``lam`` is.
+    unlabeled predictions, in that order; a failed check names its side
+    (``SIDE_NAMES``).  ``unlabeled`` may be ``None`` only when ``lam == 0``
+    (the classical bootstrap); when given, its feature width must match,
+    whatever ``lam`` is.
     """
     if unlabeled is None:
         if lam != 0.0:
             raise ValueError("unlabeled data is required unless the multiplier is 0")
     elif labeled.d != unlabeled.d:
         raise ValueError(f"feature width mismatch: labeled d={labeled.d}, unlabeled d={unlabeled.d}")
-    outcome = canonical_resampler(spec, labeled.features, labeled.outcomes)
-    if lam == 0.0:
-        return (outcome,)
-    return (
-        outcome,
-        canonical_resampler(spec, labeled.features, labeled.predictions),
-        canonical_resampler(spec, unlabeled.features, unlabeled.predictions),
-    )
+    data = [(labeled.features, labeled.outcomes)]
+    if lam != 0.0:
+        data += [(labeled.features, labeled.predictions), (unlabeled.features, unlabeled.predictions)]
+    return tuple(canonical_resampler(spec, X, y, name) for name, (X, y) in zip(SIDE_NAMES, data))
 
 
 def resample_estimates(
@@ -153,11 +156,12 @@ def resample_estimates(
 ) -> tuple[np.ndarray, int]:
     """The bootstrap loop shared by every resampling method.
 
-    Iteration ``b``, attempt ``r`` resamples on ``substream(b, r)``.  With
-    one side (the labeled outcomes) it draws the labeled indices only
-    (:func:`draw_labeled_indices`); with three it resamples both datasets
-    (:func:`draw_resample`, the same labeled draws) and evaluates the labeled
-    outcomes, the labeled predictions and the unlabeled predictions.  An
+    Iteration ``b``, attempt ``r`` resamples on ``substream(b, r)``.  Its
+    labeled indices (:func:`draw_labeled_indices`) are drawn once and shared
+    by the first one or two sides (the labeled outcomes, then the labeled
+    predictions); a third side (the unlabeled predictions) reads the
+    unlabeled indices (:func:`draw_unlabeled_indices`) as they are drawn.
+    One side is the classical bootstrap, on the same labeled indices.  An
     attempt with any degenerate estimate is redrawn up to
     ``max_degenerate_retries`` times, then the iteration is dropped.
 
@@ -177,22 +181,11 @@ def resample_estimates(
     for start in range(0, B, chunk):
         pending = range(start, min(start + chunk, B))
         for r in range(max_degenerate_retries + 1):
-            if len(sides) == 1:
-                labeled_draws = [draw_labeled_indices(n, substream(b, r)) for b in pending]
-                ests = [sides[0].estimates(labeled_draws, len(pending))]
-            else:
-                labeled_draws = []
-
-                def unlabeled_draws():
-                    # The unlabeled side counts each large draw as it comes;
-                    # only the small labeled halves are kept.
-                    for b in pending:
-                        pair = draw_resample(n, sides[2].size, substream(b, r))
-                        labeled_draws.append(pair.labeled_idx)
-                        yield pair.unlabeled_idx
-
-                unlabeled = sides[2].estimates(unlabeled_draws(), len(pending))
-                ests = [side.estimates(labeled_draws, len(pending)) for side in sides[:2]] + [unlabeled]
+            streams = [substream(b, r) for b in pending]
+            labeled = [draw_labeled_indices(n, s) for s in streams]
+            ests = [side.estimates(labeled, len(streams)) for side in sides[:2]]
+            ests += [side.estimates((draw_unlabeled_indices(side.size, s) for s in streams), len(streams))
+                     for side in sides[2:]]
             retry = []
             for k, b in enumerate(pending):
                 if all(e[k].ok for e in ests):
@@ -276,9 +269,8 @@ def ppboot_point_estimate(sides: tuple[Resampler, ...], lam: float) -> float:
     With ``lam == 0`` only the labeled outcomes are evaluated: that is the
     classical estimate.
     """
-    names = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
     ests = []
-    for name, side in zip(names, sides[:1] if lam == 0.0 else sides):
+    for name, side in zip(SIDE_NAMES, sides[:1] if lam == 0.0 else sides):
         e = side(np.arange(side.size))
         if not e.ok:
             raise EstimationError(f"degenerate point estimate on {name}: {e.reason}")

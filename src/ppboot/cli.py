@@ -20,7 +20,7 @@ from .crossfit import LEARNER_KINDS, LearnerSpec, cross_ppboot_interval, make_le
 from .data import load_csv, read_table
 from .errors import DataError, EstimationError
 from .estimators import ESTIMAND_KINDS, REPORT_TRANSFORMS, EstimandSpec
-from .experiments import run_coverage_study, study_from_config, write_reports
+from .experiments import _check_binary_predictions, run_coverage_study, study_from_config, write_reports
 from .resampling import RngStream
 
 INFER_METHODS = ("ppboot", "classical", "imputed", "ppi-mean")
@@ -119,11 +119,14 @@ def _learner_from_args(args) -> LearnerSpec | None:
 
 def cmd_infer(args) -> int:
     learner_spec = _learner_from_args(args)
+    spec = _estimand_from_args(args)
+    if learner_spec is not None:
+        # The study's rule for its cross-ppboot method, checked before any fold model is trained.
+        _check_binary_predictions("cross-ppboot", spec.kind, learner_spec)
     seed = args.seed
     if seed is None:
         print("ppboot: warning: --seed not given, defaulting to 0", file=sys.stderr)
         seed = 0
-    spec = _estimand_from_args(args)
     cfg = _bootstrap_config(args, seed)
     schema = _load_json(args.schema)
     stream = RngStream(seed)

@@ -156,28 +156,31 @@ def _require_column(index: int, name: str, X: np.ndarray) -> None:
         raise ValueError(f"{name} {index} outside [0, {X.shape[1]})")
 
 
-def check_args(spec: EstimandSpec, features, outcomes) -> tuple[np.ndarray | None, np.ndarray]:
+def check_args(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -> tuple[np.ndarray | None, np.ndarray]:
     """The one argument check: ``(features, outcomes)`` as float arrays, or ``ValueError``.
+
+    ``name`` is what the messages call ``outcomes``: an interval names each
+    side it checks ("labeled predictions", ...).
 
     Mean and quantile never read ``features`` (it may be ``None``, and comes
     back as ``None``).  A resample keeps its source's shape and a subset of
     its values, so one check covers it.
     """
     if spec.kind in OUTCOME_ONLY_KINDS:
-        y = _as_array(outcomes, "outcomes", 1)
+        y = _as_array(outcomes, name, 1)
         if y.size < 1:
-            raise ValueError("outcomes must be non-empty")
+            raise ValueError(f"{name} must be non-empty")
         return None, y
     X = _as_array(features, "features", 2)
     if spec.kind == "log_odds_ratio":
         _require_column(spec.exposure_column, "exposure_column", X)
         _require_binary(X[:, spec.exposure_column], "exposure")
-    y = _as_array(outcomes, "outcomes", 1)
+    y = _as_array(outcomes, name, 1)
     if spec.kind in ("logistic_coef", "log_odds_ratio"):
-        _require_binary(y, "outcomes")
+        _require_binary(y, name)
     if X.shape[0] != y.size:
         what = "length mismatch: exposure" if spec.kind == "log_odds_ratio" else "row mismatch: features"
-        raise ValueError(f"{what} {X.shape[0]} vs outcomes {y.size}")
+        raise ValueError(f"{what} {X.shape[0]} vs {name} {y.size}")
     if spec.kind == "log_odds_ratio":
         if y.size < 4:
             raise ValueError("need at least 4 observations for a 2x2 table")
@@ -542,7 +545,7 @@ def _log_odds_ratio(n11: float, n10: float, n01: float, n00: float) -> EstimateV
     return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
 
 
-def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Resampler:
+def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -> Resampler:
     """Check and merge one dataset once, and split its rows' statistics into bands.
 
     The merge key is y, then the feature columns ``spec`` reads (one for
@@ -551,7 +554,7 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes) -> Resampler:
     and OLS and logistic get their intercept column here.  Mean and quantile
     keep the sample as it is.
     """
-    X, y = check_args(spec, features, outcomes)
+    X, y = check_args(spec, features, outcomes, name)
     if spec.kind in OUTCOME_ONLY_KINDS:
         return Resampler(spec, y.size, values=y + 0.0)
     columns = {"pearson_corr": [spec.feature_column],

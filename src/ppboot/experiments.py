@@ -217,6 +217,10 @@ class TrialConfig:
             _check_binary_predictions(m, self.estimand.kind, self.learner)
         if self.display_trials < 0:
             raise ValueError("display_trials must be >= 0")
+        if self.crossfit_k < 2:
+            raise ValueError(f"crossfit 'k' must be >= 2, got {self.crossfit_k}")
+        if not (0.0 < self.split_fraction < 1.0):
+            raise ValueError(f"crossfit 'split_fraction' must lie strictly inside (0, 1): got {self.split_fraction}")
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
 

@@ -6,6 +6,11 @@ function of its stream, results are bit-identical regardless of execution
 order or thread count.  Path components are allocated by convention: the first
 components identify the task (e.g. trial index), followed by a phase tag and
 the iteration number within the phase.
+
+A resample has two halves, each with its own draw function:
+:func:`draw_labeled_indices` draws on the attempt's stream and
+:func:`draw_unlabeled_indices` on its ``UNLABELED_TAG`` child, so the stream
+layout lives in this module alone.
 """
 
 from __future__ import annotations
@@ -55,45 +60,30 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True, eq=False)
-class ResampleIndices:
-    """With-replacement resample indices for a labeled/unlabeled dataset pair."""
-
-    labeled_idx: np.ndarray
-    unlabeled_idx: np.ndarray
+# Sub-tag for the unlabeled half of a resample.  Keeping the two halves on
+# sibling streams means the labeled draws are the same whether or not the
+# unlabeled data is resampled (the classical bootstrap is the labeled half
+# alone), and the unlabeled draws are the same across methods whose labeled
+# sizes differ (cross-fitting vs data splitting).
+UNLABELED_TAG = 1
 
 
 def draw_labeled_indices(n: int, stream: RngStream) -> np.ndarray:
-    """Draw ``n`` i.i.d. uniform indices from ``[0, n)``.
-
-    These are exactly the labeled-side draws of :func:`draw_resample` on the
-    same stream, so labeled-only bootstraps (the classical method) consume
-    identical indices to the combined procedure.
-    """
+    """The labeled half of a resample: ``n`` i.i.d. uniform indices from ``[0, n)``, drawn on ``stream``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return stream.generator().integers(0, n, size=n)
 
 
-# Sub-tag for the unlabeled half of a resample draw.  Keeping the two halves
-# on sibling streams means the labeled draws coincide with labeled-only
-# consumers (classical bootstrap) and the unlabeled draws are identical across
-# methods whose labeled sizes differ (cross-fitting vs data splitting).
-UNLABELED_TAG = 1
+def draw_unlabeled_indices(N: int, stream: RngStream) -> np.ndarray:
+    """The unlabeled half of a resample: ``N`` i.i.d. uniform indices from ``[0, N)``.
 
-
-def draw_resample(n: int, N: int, stream: RngStream) -> ResampleIndices:
-    """Draw one with-replacement resample of both datasets.
-
-    Labeled indices come from ``stream`` itself and unlabeled indices from
-    ``stream.child(UNLABELED_TAG)``; both couplings are load-bearing and must
-    not change (see :func:`draw_labeled_indices` and the module docstring).
+    They are drawn on ``stream.child(UNLABELED_TAG)``, so they do not depend
+    on the labeled size.
     """
-    if n < 1 or N < 1:
-        raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
-    labeled = stream.generator().integers(0, n, size=n)
-    unlabeled = stream.child(UNLABELED_TAG).generator().integers(0, N, size=N)
-    return ResampleIndices(labeled, unlabeled)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    return stream.child(UNLABELED_TAG).generator().integers(0, N, size=N)
 
 
 def nearest_rank_index(q: float, m: int) -> int:

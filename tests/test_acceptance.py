@@ -23,7 +23,6 @@ from ppboot import (
     SyntheticSpec,
     TrialConfig,
     classical_bootstrap_interval,
-    draw_resample,
     est_log_odds_ratio,
     est_logistic_coef,
     est_ols_coef,
@@ -38,7 +37,7 @@ from ppboot import (
     split_trial,
 )
 from ppboot.cli import main as cli_main
-from ppboot.resampling import PHASE_MAIN, PHASE_SPLIT
+from ppboot.resampling import PHASE_MAIN, PHASE_SPLIT, draw_unlabeled_indices
 
 pytestmark = pytest.mark.acceptance
 
@@ -179,10 +178,10 @@ def test_criterion_02_perfect_prediction_collapse():
         values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, estimand), 1.0, B, base)
         expected = []
         for b in range(B):
-            idx = draw_resample(labeled.n, unlabeled.N, base.child(PHASE_MAIN, b, 0))
+            unlabeled_idx = draw_unlabeled_indices(unlabeled.N, base.child(PHASE_MAIN, b, 0))
             expected.append(
-                evaluate(estimand, unlabeled.features[idx.unlabeled_idx],
-                         unlabeled.predictions[idx.unlabeled_idx]).value
+                evaluate(estimand, unlabeled.features[unlabeled_idx],
+                         unlabeled.predictions[unlabeled_idx]).value
             )
         ok = ok and sorted(values.tolist()) == sorted(expected)
     check(2, "perfect-prediction collapse", ok, "mean and median draw multisets match exactly",

@@ -15,7 +15,6 @@ from ppboot import (
     RngStream,
     UnlabeledDataset,
     classical_bootstrap_interval,
-    draw_resample,
     interval_resamplers,
     ppboot_draws,
     ppboot_interval,
@@ -24,7 +23,7 @@ from ppboot import (
 )
 from ppboot import boot, estimators
 from ppboot.boot import resample_estimates
-from ppboot.resampling import PHASE_TUNING
+from ppboot.resampling import PHASE_TUNING, draw_unlabeled_indices
 from conftest import make_pair
 
 MEAN = EstimandSpec("mean")
@@ -72,8 +71,8 @@ class TestPerfectPredictionCollapse:
         values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, B, stream)
         expected = []
         for b in range(B):
-            idx = draw_resample(12, 30, stream.child(2, b, 0))
-            expected.append(float(np.mean(np.sort(unlabeled.predictions[idx.unlabeled_idx]))))
+            unlabeled_idx = draw_unlabeled_indices(30, stream.child(2, b, 0))
+            expected.append(float(np.mean(np.sort(unlabeled.predictions[unlabeled_idx]))))
         assert sorted(values.tolist()) == sorted(expected)
 
 
@@ -241,13 +240,17 @@ class TestDegenerateHandling:
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("spec, message", [
-        pytest.param(EstimandSpec("logistic_coef"), "outcomes must contain only 0/1 values", id="non-binary-predictions"),
-        pytest.param(EstimandSpec("ols_coef", target_index=1), r"target_index 1 outside \[0, 1\)", id="target-index"),
+    @pytest.mark.parametrize("spec, labeled_preds, unlabeled_preds, message", [
+        pytest.param(EstimandSpec("logistic_coef"), [0.0, 0.5, 1.0, 1.0], [0.0, 1.0, 1.0],
+                     "labeled predictions must contain only 0/1 values", id="non-binary-predictions"),
+        pytest.param(EstimandSpec("logistic_coef"), [0.0, 0.0, 1.0, 1.0], [0.0, 0.5, 1.0],
+                     "unlabeled predictions must contain only 0/1 values", id="non-binary-unlabeled-predictions"),
+        pytest.param(EstimandSpec("ols_coef", target_index=1), [0.0, 0.5, 1.0, 1.0], [0.0, 1.0, 1.0],
+                     r"target_index 1 outside \[0, 1\)", id="target-index"),
     ])
-    def test_loop_raises_before_the_first_draw(self, spec, message):
-        labeled = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 1.0, 1.0])
-        unlabeled = UnlabeledDataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0])
+    def test_loop_raises_before_the_first_draw(self, spec, labeled_preds, unlabeled_preds, message):
+        labeled = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 0.0, 1.0], labeled_preds)
+        unlabeled = UnlabeledDataset([[0.0], [1.0], [2.0]], unlabeled_preds)
         drawn = []
 
         def substream(b, r):
@@ -271,9 +274,9 @@ class TestOneMergePerSide:
         merge, check = estimators.canonical_resampler, boot.require_retained
         tune, point = boot.tune_lambda, boot.ppboot_point_estimate
 
-        def counting_merge(spec, features, outcomes):
+        def counting_merge(spec, features, outcomes, name="outcomes"):
             merged.append(id(outcomes))
-            return merge(spec, features, outcomes)
+            return merge(spec, features, outcomes, name)
 
         def counting_check(values, dropped):
             retained.append(values.size + dropped)
@@ -300,6 +303,27 @@ class TestOneMergePerSide:
         assert retained == [40]
         assert tuned == ([30] if mode == "tuned" else [])
         assert points == [3]
+
+
+class TestOneDrawPerSide:
+    """Each attempt draws its labeled indices once, whatever the number of labeled sides."""
+
+    @pytest.mark.parametrize("lam, per_iteration", [(1.0, 2), (0.0, 1)], ids=["three-sides", "one-side"])
+    def test_generator_calls_per_iteration(self, monkeypatch, stream, lam, per_iteration):
+        labeled, unlabeled = make_pair(n=15, N=40, seed=6)
+        calls = []
+        generator = RngStream.generator
+
+        def counting_generator(self):
+            calls.append(self.path)
+            return generator(self)
+
+        monkeypatch.setattr(RngStream, "generator", counting_generator)
+        B = 60
+        # The mean never degenerates, so every iteration makes one attempt.
+        values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN, lam), lam, B, stream)
+        assert (values.size, dropped) == (B, 0)
+        assert len(calls) == per_iteration * B
 
 
 class TestTuneLambda:

@@ -146,6 +146,28 @@ class TestInfer:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"ppboot: error: {message}"]
 
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["binary-data", "missing-files"])
+    def test_crossfit_binary_estimand_exits_2_before_reading(self, tmp_path, capsys, on_disk):
+        # Fold models average their predictions, so a 0/1 estimand cannot
+        # take them; the study rejects the same combination.  Missing files
+        # show that no CSV is read first.
+        labeled, unlabeled = tmp_path / "l.csv", tmp_path / "u.csv"
+        if on_disk:
+            g = np.random.default_rng(3)
+            labeled.write_text("x,y,fhat\n" + "".join(f"{x},{float(x > 0)},0.0\n" for x in g.standard_normal(30)),
+                               encoding="utf-8")
+            unlabeled.write_text("x,fhat\n" + "".join(f"{x},0.0\n" for x in g.standard_normal(60)), encoding="utf-8")
+        code, out, err = run_cli(
+            infer_args(**{"--labeled": str(labeled), "--unlabeled": str(unlabeled),
+                          "--estimand": "logistic_coef", "--crossfit": "3"}),
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "ppboot: error: method 'cross-ppboot' cannot run estimand 'logistic_coef' with learner "
+            "'linear_least_squares': the estimand needs 0/1 predictions and it averages the fold models' predictions"
+        ]
+
     def test_imputed_needs_unlabeled(self, capsys):
         code, _, err = run_cli(infer_args(**{"--method": "imputed", "--unlabeled": None}), capsys)
         assert code == 2
@@ -258,6 +280,12 @@ class TestStudy:
                       "crossfit": {"learner": {"kind": "knn", "k": 3}}},
                      "method 'split-ppboot' cannot run estimand 'log_odds_ratio' with learner 'knn' (k=3)",
                      id="split-log-odds-knn-3"),
+        # Fold counts and split fractions are checked when the config is
+        # read, before any worker starts, whether or not a method uses them.
+        pytest.param({"methods": ["ppboot", "cross-ppboot"], "crossfit": {"k": 1}},
+                     "crossfit 'k' must be >= 2, got 1", id="crossfit-k-1"),
+        pytest.param({"crossfit": {"split_fraction": 1.5}},
+                     "crossfit 'split_fraction' must lie strictly inside (0, 1): got 1.5", id="split-fraction-1.5"),
     ])
     def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys, overrides, named):
         cfg = study_config(tmp_path, **overrides)

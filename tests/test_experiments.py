@@ -401,6 +401,17 @@ class TestStudyFromConfig:
         with pytest.raises(ValueError, match="n_grid"):
             _study_config(n_grid=(n,))
 
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"crossfit_k": 1}, "crossfit 'k' must be >= 2", id="k-1"),
+        pytest.param({"split_fraction": 1.5}, r"crossfit 'split_fraction' must lie strictly inside \(0, 1\)",
+                     id="split-fraction-1.5"),
+        pytest.param({"split_fraction": 0.0}, r"crossfit 'split_fraction' must lie strictly inside \(0, 1\)",
+                     id="split-fraction-0"),
+    ])
+    def test_crossfit_settings_checked_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _study_config(**overrides)
+
     def test_mean_only_methods_validated(self):
         with pytest.raises(ValueError):
             TrialConfig(

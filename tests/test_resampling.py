@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ppboot import RngStream, draw_resample, empirical_quantile
-from ppboot.resampling import draw_labeled_indices, nearest_rank_index
+from ppboot import EstimateValue, RngStream, empirical_quantile
+from ppboot.boot import resample_estimates
+from ppboot.resampling import draw_labeled_indices, draw_unlabeled_indices, nearest_rank_index
 
 
 class TestRngStream:
@@ -36,56 +37,75 @@ class TestRngStream:
             RngStream(0, (-2,))
 
 
+class _Recorder:
+    """A stand-in side that records the draws the resample loop hands it."""
+
+    def __init__(self, size):
+        self.size = self.rows = size
+        self.seen = []
+
+    def estimates(self, draws, count):
+        self.seen += [idx.tolist() for idx in draws]
+        return [EstimateValue(0.0)] * count
+
+
+def _loop_draws(sizes):
+    sides = tuple(_Recorder(size) for size in sizes)
+    resample_estimates(sides, 5, lambda b, r: RngStream(9, (4, 2, b, r)), 0)
+    return [side.seen for side in sides]
+
+
 class TestDrawResample:
+    """The two halves of a resample, alone and as the resample loop draws them."""
+
     def test_singleton_draw_is_forced(self):
-        idx = draw_resample(1, 1, RngStream(0))
-        assert idx.labeled_idx.tolist() == [0]
-        assert idx.unlabeled_idx.tolist() == [0]
+        labeled_idx, unlabeled_idx = draw_labeled_indices(1, RngStream(0)), draw_unlabeled_indices(1, RngStream(0))
+        assert labeled_idx.tolist() == [0]
+        assert unlabeled_idx.tolist() == [0]
 
     def test_determinism(self):
-        a = draw_resample(5, 9, RngStream(3, (2,)))
-        b = draw_resample(5, 9, RngStream(3, (2,)))
-        assert np.array_equal(a.labeled_idx, b.labeled_idx)
-        assert np.array_equal(a.unlabeled_idx, b.unlabeled_idx)
+        a = draw_labeled_indices(5, RngStream(3, (2,))), draw_unlabeled_indices(9, RngStream(3, (2,)))
+        b = draw_labeled_indices(5, RngStream(3, (2,))), draw_unlabeled_indices(9, RngStream(3, (2,)))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_bounds_and_sizes(self):
-        idx = draw_resample(5, 9, RngStream(1))
-        assert idx.labeled_idx.size == 5 and idx.unlabeled_idx.size == 9
-        assert idx.labeled_idx.min() >= 0 and idx.labeled_idx.max() < 5
-        assert idx.unlabeled_idx.min() >= 0 and idx.unlabeled_idx.max() < 9
+        labeled_idx, unlabeled_idx = draw_labeled_indices(5, RngStream(1)), draw_unlabeled_indices(9, RngStream(1))
+        assert labeled_idx.size == 5 and unlabeled_idx.size == 9
+        assert labeled_idx.min() >= 0 and labeled_idx.max() < 5
+        assert unlabeled_idx.min() >= 0 and unlabeled_idx.max() < 9
 
     def test_marginal_uniformity(self):
         # 10000 resamples of size 5: each index frequency within 3 SE of 1/5.
         counts = np.zeros(5)
         for b in range(10000):
-            counts += np.bincount(draw_resample(5, 7, RngStream(11, (b,))).labeled_idx, minlength=5)
+            counts += np.bincount(draw_labeled_indices(5, RngStream(11, (b,))), minlength=5)
         freqs = counts / counts.sum()
         se = np.sqrt(0.2 * 0.8 / counts.sum())
         assert np.all(np.abs(freqs - 0.2) < 3 * se)
 
     def test_streams_never_collide(self):
-        seen = {tuple(draw_resample(20, 20, RngStream(5, (2, b))).labeled_idx.tolist()) for b in range(1000)}
+        seen = {tuple(draw_labeled_indices(20, RngStream(5, (2, b))).tolist()) for b in range(1000)}
         assert len(seen) == 1000
 
     def test_labeled_prefix_matches_labeled_only_draw(self):
-        # Classical (labeled-only) consumers must see the same indices.
-        s = RngStream(9, (4, 2, 17, 0))
-        both = draw_resample(8, 30, s)
-        only = draw_labeled_indices(8, s)
-        assert np.array_equal(both.labeled_idx, only)
+        # Classical (labeled-only) loops must see the same indices as both
+        # labeled sides of a three-side loop.
+        both = _loop_draws((8, 8, 30))
+        only = _loop_draws((8,))
+        assert both[0] == both[1] == only[0]
 
     def test_unlabeled_draws_independent_of_labeled_size(self):
         # Methods with different labeled sizes stay paired on the unlabeled side.
-        s = RngStream(9, (4, 2, 17, 0))
-        a = draw_resample(5, 30, s)
-        b = draw_resample(17, 30, s)
-        assert np.array_equal(a.unlabeled_idx, b.unlabeled_idx)
+        a = _loop_draws((5, 5, 30))
+        b = _loop_draws((17, 17, 30))
+        assert a[2] == b[2]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            draw_resample(0, 5, RngStream(0))
+            draw_labeled_indices(0, RngStream(0))
         with pytest.raises(ValueError):
-            draw_resample(5, 0, RngStream(0))
+            draw_unlabeled_indices(0, RngStream(0))
 
 
 class TestEmpiricalQuantile:
