@@ -14,7 +14,6 @@ from .baselines import (
     classical_clt_mean_interval,
     imputed_interval,
     ppi_mean_interval,
-    standard_normal_quantile,
 )
 from .boot import (
     BootstrapConfig,
@@ -27,7 +26,6 @@ from .boot import (
     tune_lambda,
 )
 from .crossfit import (
-    FoldAssignment,
     LearnerSpec,
     assemble_cross_predictions,
     cross_ppboot_interval,
@@ -48,12 +46,6 @@ from .errors import (
 from .estimators import (
     EstimandSpec,
     EstimateValue,
-    est_log_odds_ratio,
-    est_logistic_coef,
-    est_mean,
-    est_ols_coef,
-    est_pearson_corr,
-    est_quantile,
     evaluate,
 )
 from .experiments import (
@@ -81,7 +73,6 @@ __all__ = [
     "EstimandSpec",
     "EstimateValue",
     "EstimationError",
-    "FoldAssignment",
     "LabeledDataset",
     "LearnerSpec",
     "PPBootError",
@@ -102,12 +93,6 @@ __all__ = [
     "classical_clt_mean_interval",
     "cross_ppboot_interval",
     "empirical_quantile",
-    "est_log_odds_ratio",
-    "est_logistic_coef",
-    "est_mean",
-    "est_ols_coef",
-    "est_pearson_corr",
-    "est_quantile",
     "evaluate",
     "generate_synthetic",
     "imputed_interval",
@@ -124,7 +109,6 @@ __all__ = [
     "run_coverage_study",
     "split_ppboot_interval",
     "split_trial",
-    "standard_normal_quantile",
     "summarize_to_tables",
     "train_fold_models",
     "tune_lambda",

@@ -15,13 +15,6 @@ from .estimators import EstimandSpec
 from .resampling import RngStream
 
 
-def standard_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1): got {p}")
-    return NormalDist().inv_cdf(p)
-
-
 def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
     """Mean +/- z * sd / sqrt(n) using the unbiased sample standard deviation."""
     y = np.asarray(outcomes, dtype=np.float64)
@@ -34,7 +27,7 @@ def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
     reason = None
     if sd == 0.0:
         reason = "zero variance"
-    half = standard_normal_quantile(1.0 - alpha / 2.0) * sd / math.sqrt(y.size)
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * sd / math.sqrt(y.size)
     return ConfidenceInterval(
         lower=center - half,
         upper=center + half,
@@ -83,7 +76,7 @@ def ppi_mean_interval(
     var = float(np.var(unlabeled.predictions, ddof=1)) / unlabeled.N + float(
         np.var(residual, ddof=1)
     ) / labeled.n
-    half = standard_normal_quantile(1.0 - alpha / 2.0) * math.sqrt(var)
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(var)
     return ConfidenceInterval(
         lower=center - half,
         upper=center + half,

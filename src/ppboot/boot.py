@@ -58,6 +58,11 @@ LAMBDA_MODES = ("off", "fixed", "tuned")
 # Below this, the tuning denominator is treated as zero and lambda falls back to 0.
 TUNING_DENOM_FLOOR = 1e-15
 
+# The largest B and tuning_B.  The loop allocates a (B, sides) float64 array up
+# front: 24 MB at this cap and three sides, while B = 10**15 would ask for 24 PB
+# and fail in that allocation.  The largest B this project runs is 1000.
+MAX_B = 10**6
+
 # An interval's sides in order; argument checks and point-estimate failures name them.
 SIDE_NAMES = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
 
@@ -84,14 +89,14 @@ class BootstrapConfig:
     clip_lambda: bool = False
 
     def __post_init__(self):
-        if self.B < 2:
-            raise ValueError(f"B must be >= 2, got {self.B}")
+        if not (2 <= self.B <= MAX_B):
+            raise ValueError(f"B must be in [2, {MAX_B}], got {self.B}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie strictly inside (0, 1): got {self.alpha}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
-        if self.tuning_B is not None and self.tuning_B < 2:
-            raise ValueError(f"tuning_B must be >= 2, got {self.tuning_B}")
+        if self.tuning_B is not None and not (2 <= self.tuning_B <= MAX_B):
+            raise ValueError(f"tuning_B must be in [2, {MAX_B}], got {self.tuning_B}")
         if self.max_degenerate_retries < 0:
             raise ValueError("max_degenerate_retries must be >= 0")
 

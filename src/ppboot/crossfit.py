@@ -17,7 +17,7 @@ axis=2)``, without the (queries x training rows x features) tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -43,10 +43,6 @@ LEARNER_KINDS = ("linear_least_squares", "logistic_irls", "knn")
 KNN_CHUNK_ELEMENTS = 1 << 17
 
 Predictor = Callable[[np.ndarray], np.ndarray]
-
-
-class Learner(Protocol):
-    def fit(self, features: np.ndarray, outcomes: np.ndarray) -> Predictor: ...
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ class KNearestLearner:
         return predict
 
 
-def make_learner(spec: LearnerSpec) -> Learner:
+def make_learner(spec: LearnerSpec):
     if spec.kind == "linear_least_squares":
         return LinearLeastSquaresLearner()
     if spec.kind == "logistic_irls":
@@ -190,44 +186,37 @@ def make_learner(spec: LearnerSpec) -> Learner:
     return KNearestLearner(spec.k)
 
 
-@dataclass(frozen=True, eq=False)
-class FoldAssignment:
-    """Balanced partition of [0, n) into K folds."""
-
-    K: int
-    fold_of: np.ndarray
-
-    def __post_init__(self):
-        fold_of = np.asarray(self.fold_of, dtype=np.intp)
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if fold_of.ndim != 1 or np.any(fold_of < 0) or np.any(fold_of >= self.K):
-            raise ValueError("fold_of must be a 1-D vector of fold ids in [0, K)")
-        object.__setattr__(self, "fold_of", fold_of)
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == j)
-
-
-def partition_folds(n: int, K: int, stream: RngStream) -> FoldAssignment:
-    """Uniformly random partition with fold sizes differing by at most one."""
+def partition_folds(n: int, K: int, stream: RngStream) -> np.ndarray:
+    """Each row's fold id: uniformly random, with fold sizes differing by at most one."""
     if not (2 <= K <= n):
         raise ValueError(f"K must be in [2, n={n}]: got {K}")
     perm = stream.generator().permutation(n)
     fold_of = np.empty(n, dtype=np.intp)
     fold_of[perm] = np.arange(n) % K
-    return FoldAssignment(K, fold_of)
+    return fold_of
 
 
-def train_fold_models(features, outcomes, folds: FoldAssignment, learner: Learner) -> list[Predictor]:
-    """Fit one model per fold, each on the complement of its fold."""
+def _fold_ids(fold_of, n: int, K: int) -> np.ndarray:
+    """``fold_of`` as ``n`` fold ids in [0, K), or ``ValueError``: a labeled row
+    whose fold has no model would keep an unset prediction."""
+    fold_of = np.asarray(fold_of, dtype=np.intp)
+    if fold_of.shape != (n,) or np.any(fold_of < 0) or np.any(fold_of >= K):
+        raise ValueError(f"fold_of must be a vector of {n} fold ids in [0, {K})")
+    return fold_of
+
+
+def train_fold_models(features, outcomes, fold_of, learner) -> list[Predictor]:
+    """Fit one model per fold id up to the largest, each on the rows outside its fold,
+    with any ``learner`` whose ``fit(features, outcomes)`` returns a predictor."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
-    if X.shape[0] != y.size or X.shape[0] != folds.fold_of.size:
-        raise ValueError("features, outcomes, and fold assignment must agree on row count")
+    if X.shape[0] != y.size:
+        raise ValueError("features and outcomes must agree on row count")
+    K = int(np.max(fold_of, initial=0)) + 1
+    fold_of = _fold_ids(fold_of, X.shape[0], K)
     models: list[Predictor] = []
-    for j in range(folds.K):
-        mask = folds.fold_of != j
+    for j in range(K):
+        mask = fold_of != j
         if not np.any(mask):
             raise EstimationError(f"training failed on fold {j}: empty training complement")
         try:
@@ -238,22 +227,22 @@ def train_fold_models(features, outcomes, folds: FoldAssignment, learner: Learne
 
 
 def assemble_cross_predictions(
-    features, unlabeled_features, folds: FoldAssignment, models: list[Predictor]
+    features, unlabeled_features, fold_of, models: list[Predictor]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out predictions for labeled rows; ensemble average for unlabeled rows."""
+    """Held-out predictions for labeled rows (model ``j`` predicts fold ``j``);
+    ensemble average for unlabeled rows."""
     X = np.asarray(features, dtype=np.float64)
     Xu = np.asarray(unlabeled_features, dtype=np.float64)
-    if len(models) != folds.K:
-        raise ValueError(f"expected {folds.K} models, got {len(models)}")
+    fold_of = _fold_ids(fold_of, X.shape[0], len(models))
     labeled_preds = np.empty(X.shape[0])
     for j, model in enumerate(models):
-        rows = folds.members(j)
+        rows = np.flatnonzero(fold_of == j)
         if rows.size:
             labeled_preds[rows] = model(X[rows])
     unlabeled_preds = np.zeros(Xu.shape[0])
     for model in models:
         unlabeled_preds += model(Xu)
-    unlabeled_preds /= folds.K
+    unlabeled_preds /= len(models)
     return labeled_preds, unlabeled_preds
 
 
@@ -264,7 +253,7 @@ def cross_ppboot_interval(
     spec: EstimandSpec,
     cfg: BootstrapConfig,
     K: int,
-    learner: Learner,
+    learner,
     stream: RngStream,
 ) -> ConfidenceInterval:
     """Cross-fitted interval: partition, train, assemble predictions, then bootstrap.
@@ -275,9 +264,9 @@ def cross_ppboot_interval(
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
-    folds = partition_folds(X.shape[0], K, stream.child(PHASE_SPLIT, FOLD_SPLIT_TAG))
-    models = train_fold_models(X, y, folds, learner)
-    labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, folds, models)
+    fold_of = partition_folds(X.shape[0], K, stream.child(PHASE_SPLIT, FOLD_SPLIT_TAG))
+    models = train_fold_models(X, y, fold_of, learner)
+    labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models)
     labeled = LabeledDataset(X, y, labeled_preds)
     unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
     return ppboot_interval(labeled, unlabeled, spec, cfg, stream)
@@ -289,7 +278,7 @@ def split_ppboot_interval(
     unlabeled_features,
     spec: EstimandSpec,
     cfg: BootstrapConfig,
-    learner: Learner,
+    learner,
     stream: RngStream,
     split_fraction: float = 0.5,
 ) -> ConfidenceInterval:
@@ -299,10 +288,9 @@ def split_ppboot_interval(
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
     n = X.shape[0]
-    n_train = int(round(split_fraction * n))
-    n_train = min(max(n_train, 1), n - 2)
-    if n_train < 1 or n - n_train < 2:
+    if n < 3:
         raise ValueError(f"cannot split {n} rows into a training part and >= 2 inference rows")
+    n_train = min(max(int(round(split_fraction * n)), 1), n - 2)
     perm = stream.child(PHASE_SPLIT, TRAIN_SPLIT_TAG).generator().permutation(n)
     train_rows = perm[:n_train]
     infer_rows = np.sort(perm[n_train:])

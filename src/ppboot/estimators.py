@@ -160,7 +160,8 @@ def check_args(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -
     """The one argument check: ``(features, outcomes)`` as float arrays, or ``ValueError``.
 
     ``name`` is what the messages call ``outcomes``: an interval names each
-    side it checks ("labeled predictions", ...).
+    side it checks ("labeled predictions", ...), and its features after it
+    ("labeled features", ...).
 
     Mean and quantile never read ``features`` (it may be ``None``, and comes
     back as ``None``).  A resample keeps its source's shape and a subset of
@@ -174,7 +175,8 @@ def check_args(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -
     X = _as_array(features, "features", 2)
     if spec.kind == "log_odds_ratio":
         _require_column(spec.exposure_column, "exposure_column", X)
-        _require_binary(X[:, spec.exposure_column], "exposure")
+        features_name = " ".join(name.split()[:-1] + ["features"])
+        _require_binary(X[:, spec.exposure_column], f"exposure in the {features_name}")
     y = _as_array(outcomes, name, 1)
     if spec.kind in ("logistic_coef", "log_odds_ratio"):
         _require_binary(y, name)
@@ -577,33 +579,3 @@ def chunk_length(resamplers) -> int:
 def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:
     """Apply the estimator of ``spec`` to one dataset (outcomes or predictions): the identity resample."""
     return canonical_resampler(spec, features, outcomes)(np.arange(np.size(outcomes)))
-
-
-def est_mean(outcomes) -> EstimateValue:
-    """Arithmetic mean."""
-    return evaluate(EstimandSpec("mean"), None, outcomes)
-
-
-def est_quantile(outcomes, q: float) -> EstimateValue:
-    """Nearest-rank upper sample quantile (always an element of the sample)."""
-    return evaluate(EstimandSpec("quantile", q=q), None, outcomes)
-
-
-def est_ols_coef(features, outcomes, target_index: int, intercept: bool = True) -> EstimateValue:
-    """Least-squares coefficient at ``target_index``; the intercept is a trailing column."""
-    return evaluate(EstimandSpec("ols_coef", target_index=target_index, intercept=intercept), features, outcomes)
-
-
-def est_logistic_coef(features, outcomes, target_index: int, intercept: bool = True) -> EstimateValue:
-    """Maximum-likelihood logistic coefficient (see :func:`fit_logistic`)."""
-    return evaluate(EstimandSpec("logistic_coef", target_index=target_index, intercept=intercept), features, outcomes)
-
-
-def est_log_odds_ratio(exposure, outcomes) -> EstimateValue:
-    """Log odds ratio of two binary variables; an empty cell adds 0.5 to every cell and flags."""
-    return evaluate(EstimandSpec("log_odds_ratio"), _as_array(exposure, "exposure", 1)[:, None], outcomes)
-
-
-def est_pearson_corr(features, outcomes, feature_column: int) -> EstimateValue:
-    """Sample Pearson correlation between one feature column and the outcomes."""
-    return evaluate(EstimandSpec("pearson_corr", feature_column=feature_column), features, outcomes)

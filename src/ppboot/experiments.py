@@ -434,23 +434,6 @@ def _write_csv(path: str, rows: list[dict], fieldnames: tuple[str, ...]) -> None
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
-def parse_report_csv(path: str) -> list[dict]:
-    """Read back a report CSV with exact numeric round-trip."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = []
-        for raw in csv.DictReader(fh):
-            row: dict = {}
-            for key, cell in raw.items():
-                if key in ("n", "trial"):
-                    row[key] = int(cell)
-                elif key in ("method",):
-                    row[key] = cell
-                else:
-                    row[key] = float(cell)
-            rows.append(row)
-        return rows
-
-
 def write_reports(summary: TrialSummary, out_dir: str) -> dict[str, str]:
     """Write coverage.csv, intervals.csv, and report.json; returns their paths."""
     agg_rows, trial_rows = summarize_to_tables(summary)
@@ -475,12 +458,6 @@ def write_reports(summary: TrialSummary, out_dir: str) -> dict[str, str]:
         )
         fh.write("\n")
     return paths
-
-
-def width_inversions(summary: TrialSummary, method: str) -> int:
-    """Count increases of mean width along the n grid for one method."""
-    widths = [a.mean_width for a in summary.aggregates if a.method == method]
-    return sum(1 for prev, cur in zip(widths, widths[1:]) if cur > prev)
 
 
 def dataset_from_config(raw: dict, seed: int) -> LabeledDataset:

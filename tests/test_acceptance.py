@@ -23,11 +23,6 @@ from ppboot import (
     SyntheticSpec,
     TrialConfig,
     classical_bootstrap_interval,
-    est_log_odds_ratio,
-    est_logistic_coef,
-    est_ols_coef,
-    est_pearson_corr,
-    est_quantile,
     evaluate,
     generate_synthetic,
     interval_resamplers,
@@ -260,7 +255,7 @@ def test_criterion_09_estimator_oracles():
         rows = int(g.integers(5, 9))
         x = g.standard_normal((rows, 1))
         y = (g.random(rows) < 0.5).astype(float)
-        est = est_logistic_coef(x, y, 0, intercept=True)
+        est = evaluate(EstimandSpec("logistic_coef", target_index=0, intercept=True), x, y)
         if not est.ok:
             continue
         grid = ref.grid_logistic_slope(x, y)
@@ -273,18 +268,19 @@ def test_criterion_09_estimator_oracles():
     beta = np.array([1.25, -0.5, 3.0])
     y_lin = X @ beta + 2.0
     for j in range(3):
-        err = abs(est_ols_coef(X, y_lin, j, intercept=True).value - beta[j])
+        err = abs(evaluate(EstimandSpec("ols_coef", target_index=j, intercept=True), X, y_lin).value - beta[j])
         if err > 1e-10:
             problems.append(f"ols coef {j} error {err:.2e}")
 
     # Hand-computed values.
-    if est_quantile([1.0, 2.0, 3.0, 4.0], 0.5).value != 2.0:
+    if evaluate(EstimandSpec("quantile", q=0.5), None, [1.0, 2.0, 3.0, 4.0]).value != 2.0:
         problems.append("quantile hand value")
-    exposure = [1.0] * 30 + [0.0] * 30
+    exposure = np.array([1.0] * 30 + [0.0] * 30)
     outcome = [1.0] * 20 + [0.0] * 10 + [1.0] * 10 + [0.0] * 20
-    if abs(est_log_odds_ratio(exposure, outcome).value - math.log(4.0)) > 1e-12:
+    if abs(evaluate(EstimandSpec("log_odds_ratio"), exposure[:, None], outcome).value - math.log(4.0)) > 1e-12:
         problems.append("log odds hand value")
-    if abs(est_pearson_corr([[1.0], [2.0], [3.0], [4.0]], [1.0, 3.0, 2.0, 4.0], 0).value - 0.8) > 1e-12:
+    pearson = evaluate(EstimandSpec("pearson_corr", feature_column=0), [[1.0], [2.0], [3.0], [4.0]], [1.0, 3.0, 2.0, 4.0])
+    if abs(pearson.value - 0.8) > 1e-12:
         problems.append("pearson hand value")
 
     check(9, "estimator oracles", not problems, str(problems or "grid/exact/hand values all agree"),

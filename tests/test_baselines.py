@@ -16,35 +16,37 @@ from ppboot import (
     classical_clt_mean_interval,
     imputed_interval,
     ppi_mean_interval,
-    standard_normal_quantile,
 )
 
 MEAN = EstimandSpec("mean")
 
 
 class TestNormalQuantile:
+    """The normal quantile z(1 - alpha/2) of the CLT intervals."""
+
     # Reference values from standard tables (15+ significant digits).
     KNOWN = {
-        0.5: 0.0,
         0.95: 1.6448536269514722,
         0.975: 1.959963984540054,
         0.99: 2.3263478740408408,
         0.999: 3.090232306167813,
-        1e-6: -4.753424308822899,
     }
 
     def test_known_values(self):
+        # [0, 2] has standard deviation sqrt(2), so its standard error is 1
+        # and the half-width is z itself.
         for p, z in self.KNOWN.items():
-            assert standard_normal_quantile(p) == pytest.approx(z, abs=1e-8)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.2, 0.37, 0.45):
-            assert standard_normal_quantile(p) == pytest.approx(-standard_normal_quantile(1 - p), abs=1e-12)
+            ci = classical_clt_mean_interval([0.0, 2.0], 2.0 * (1.0 - p))
+            assert ci.upper - ci.point_estimate == pytest.approx(z, abs=1e-8)
 
     def test_domain(self):
-        for p in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                standard_normal_quantile(p)
+        labeled = LabeledDataset(np.zeros((3, 1)), [0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+        unlabeled = UnlabeledDataset(np.zeros((3, 1)), [0.0, 1.0, 2.0])
+        for alpha in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+                classical_clt_mean_interval([0.0, 2.0], alpha)
+            with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+                ppi_mean_interval(labeled, unlabeled, alpha)
 
 
 class TestCltMeanInterval:

@@ -262,6 +262,17 @@ class TestArgumentChecks:
         assert drawn == []
 
 
+    @pytest.mark.parametrize("labeled_features, unlabeled_features, side", [
+        pytest.param([[0.0], [1.0], [0.5], [1.0]], [[0.0], [1.0], [1.0]], "labeled features", id="labeled"),
+        pytest.param([[0.0], [1.0], [0.0], [1.0]], [[0.0], [0.5], [1.0]], "unlabeled features", id="unlabeled"),
+    ])
+    def test_exposure_check_names_its_features(self, labeled_features, unlabeled_features, side):
+        labeled = LabeledDataset(labeled_features, [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0])
+        unlabeled = UnlabeledDataset(unlabeled_features, [0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=f"^exposure in the {side} must contain only 0/1 values$"):
+            ppboot_interval(labeled, unlabeled, EstimandSpec("log_odds_ratio"), BootstrapConfig(B=10), RngStream(0))
+
+
 class TestOneMergePerSide:
     """An interval checks and merges each side once, checks retention once, and
     reaches tuning and the point estimate through their public names."""
@@ -409,6 +420,10 @@ class TestConfigValidation:
             BootstrapConfig(lambda_mode="auto")
         with pytest.raises(ValueError):
             BootstrapConfig(tuning_B=1)
+        assert BootstrapConfig(B=boot.MAX_B, tuning_B=boot.MAX_B).B == boot.MAX_B
+        for field in ("B", "tuning_B"):
+            with pytest.raises(ValueError, match=f"^{field} must be in"):
+                BootstrapConfig(**{field: boot.MAX_B + 1})
 
     def test_defaults(self):
         cfg = BootstrapConfig()

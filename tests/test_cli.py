@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ppboot
+from ppboot.boot import MAX_B
 from ppboot.cli import main
 from ppboot.estimators import CHUNK_BYTES
 
@@ -81,6 +82,11 @@ class TestInfer:
         code, _, err = run_cli(args, capsys)
         assert code == 2
         assert len(err.strip().splitlines()) == 1
+
+    def test_B_above_the_cap_exits_2(self, capsys):
+        code, out, err = run_cli(infer_args(**{"--B": str(10**15)}), capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ppboot: error: B must be in [2, {MAX_B}], got {10**15}"]
 
     def test_defaults_seed_zero_with_warning(self, capsys):
         code, out, err = run_cli(infer_args(**{"--seed": None}), capsys)
@@ -239,6 +245,9 @@ class TestStudy:
         pytest.param({"methods": ["nonsense"]}, "nonsense", id="unknown-method"),
         pytest.param({"bootstrap": {"B": "1000"}}, "'B'", id="string-B"),
         pytest.param({"bootstrap": {"alpha": "0.1"}}, "'alpha'", id="string-alpha"),
+        pytest.param({"bootstrap": {"B": 10**15}}, f"B must be in [2, {MAX_B}]", id="B-above-cap"),
+        pytest.param({"bootstrap": {"B": 150, "tuning_B": 10**15}}, f"tuning_B must be in [2, {MAX_B}]",
+                     id="tuning-B-above-cap"),
         pytest.param({"estimand": {"kind": "mean", "q": "0.5"}}, "'q'", id="string-q"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": "10000"}}},
                      "'total_rows'", id="string-total-rows"),

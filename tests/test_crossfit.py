@@ -49,24 +49,24 @@ class RecordingLearner(ConstantLearner):
 class TestPartitionFolds:
     def test_singletons_when_k_equals_n(self):
         folds = partition_folds(10, 10, RngStream(0))
-        assert sorted(folds.fold_of.tolist()) == list(range(10))
+        assert sorted(folds.tolist()) == list(range(10))
 
     def test_balanced_sizes(self):
         folds = partition_folds(10, 3, RngStream(1))
-        sizes = sorted(np.bincount(folds.fold_of, minlength=3).tolist())
+        sizes = sorted(np.bincount(folds, minlength=3).tolist())
         assert sizes == [3, 3, 4]
 
     def test_determinism(self):
         a = partition_folds(20, 4, RngStream(2, (7,)))
         b = partition_folds(20, 4, RngStream(2, (7,)))
-        assert np.array_equal(a.fold_of, b.fold_of)
+        assert np.array_equal(a, b)
 
     def test_balance_property(self):
         g = np.random.default_rng(0)
         for trial in range(25):
             n = int(g.integers(5, 60))
             K = int(g.integers(2, n + 1))
-            sizes = np.bincount(partition_folds(n, K, RngStream(3, (trial,))).fold_of, minlength=K)
+            sizes = np.bincount(partition_folds(n, K, RngStream(3, (trial,))), minlength=K)
             assert sizes.max() - sizes.min() <= 1
 
     def test_k_out_of_range(self):
@@ -95,7 +95,7 @@ class TestTrainFoldModels:
         learner = RecordingLearner()
         train_fold_models(X, y, folds, learner)
         for j in range(2):
-            complement = set(np.flatnonzero(folds.fold_of != j).tolist())
+            complement = set(np.flatnonzero(folds != j).tolist())
             assert learner.seen[j] == complement
 
     def test_one_nn_memorizes_training_rows(self):
@@ -105,7 +105,7 @@ class TestTrainFoldModels:
         folds = partition_folds(15, 3, RngStream(8))
         models = train_fold_models(X, y, folds, KNearestLearner(1))
         for j, model in enumerate(models):
-            rows = np.flatnonzero(folds.fold_of != j)
+            rows = np.flatnonzero(folds != j)
             assert np.allclose(model(X[rows]), y[rows], atol=1e-12)
 
     def test_learner_failure_names_fold(self):
@@ -119,6 +119,10 @@ class TestTrainFoldModels:
 
         with pytest.raises(Exception, match="fold 0"):
             train_fold_models(X, y, folds, FailingLearner())
+
+    def test_single_fold_has_empty_training_complement(self):
+        with pytest.raises(EstimationError, match="^training failed on fold 0: empty training complement$"):
+            train_fold_models(np.zeros((4, 1)), np.arange(4.0), np.zeros(4, dtype=int), ConstantLearner())
 
 
 class TestLogisticLearnerFailures:
@@ -203,6 +207,13 @@ class TestAssemble:
         _, unl = assemble_cross_predictions(X, Xu, folds, models)
         assert np.all(unl == 0.5)
 
+    @pytest.mark.parametrize("bad_id", [-1, 2])
+    def test_fold_id_without_a_model_rejected(self, bad_id):
+        models = [lambda q: np.zeros(q.shape[0])] * 2
+        fold_of = [0, 1, bad_id, 1]
+        with pytest.raises(ValueError, match=r"^fold_of must be a vector of 4 fold ids in \[0, 2\)$"):
+            assemble_cross_predictions(np.zeros((4, 1)), np.zeros((3, 1)), fold_of, models)
+
     def test_one_nn_against_brute_force(self):
         g = np.random.default_rng(13)
         n = 10
@@ -213,7 +224,7 @@ class TestAssemble:
         models = train_fold_models(X, y, folds, KNearestLearner(1))
         lab, _ = assemble_cross_predictions(X, Xu, folds, models)
         for i in range(n):
-            complement = np.flatnonzero(folds.fold_of != folds.fold_of[i])
+            complement = np.flatnonzero(folds != folds[i])
             d2 = np.sum((X[complement] - X[i]) ** 2, axis=1)
             assert lab[i] == y[complement][int(np.argmin(d2))]
 
@@ -225,7 +236,7 @@ class TestAssemble:
         learner = RecordingLearner()
         train_fold_models(X, y, folds, learner)
         for i in range(n):
-            assert i not in learner.seen[folds.fold_of[i]]
+            assert i not in learner.seen[folds[i]]
 
 
 class TestCrossIntervals:
@@ -294,6 +305,13 @@ class TestSplitBaseline:
         b = split_ppboot_interval(X, y, Xu, MEAN, cfg, LinearLeastSquaresLearner(), RngStream(5, (1,)))
         assert a == b
         assert a.lower <= a.upper
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_rows_rejected(self, n):
+        X = np.zeros((n, 1))
+        with pytest.raises(ValueError, match=f"^cannot split {n} rows into a training part and >= 2 inference rows$"):
+            split_ppboot_interval(X, np.zeros(n), X, MEAN, BootstrapConfig(B=10),
+                                  LinearLeastSquaresLearner(), RngStream(0))
 
     def test_bad_fraction_rejected(self):
         X = np.zeros((10, 1))

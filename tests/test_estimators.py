@@ -5,72 +5,68 @@ import math
 import numpy as np
 import pytest
 
-from ppboot import (
-    EstimandSpec,
-    est_log_odds_ratio,
-    est_logistic_coef,
-    est_mean,
-    est_ols_coef,
-    est_pearson_corr,
-    est_quantile,
-    evaluate,
-)
+from ppboot import EstimandSpec, evaluate
 from ppboot.estimators import _sigmoid, canonical_resampler
 from _reference import grid_logistic_slope
 
 
+def estimate(kind, features, outcomes, **params):
+    return evaluate(EstimandSpec(kind, **params), features, outcomes)
+
+
 class TestMean:
     def test_constant(self):
-        assert est_mean([1.0, 1.0, 1.0]).value == 1.0
+        assert estimate("mean", None, [1.0, 1.0, 1.0]).value == 1.0
 
     def test_symmetry(self):
-        assert est_mean([0.0, 1.0, 0.0, 1.0]).value == 0.5
+        assert estimate("mean", None, [0.0, 1.0, 0.0, 1.0]).value == 0.5
 
     def test_hand_value(self):
-        assert est_mean([0.2, 0.4, 0.9]).value == pytest.approx(0.5, abs=1e-15)
+        assert estimate("mean", None, [0.2, 0.4, 0.9]).value == pytest.approx(0.5, abs=1e-15)
 
     def test_affine_equivariance(self):
         g = np.random.default_rng(0)
         y = g.standard_normal(31)
-        assert est_mean(3.5 * y + 2.0).value == pytest.approx(3.5 * est_mean(y).value + 2.0, abs=1e-12)
+        shifted = estimate("mean", None, 3.5 * y + 2.0).value
+        assert shifted == pytest.approx(3.5 * estimate("mean", None, y).value + 2.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            est_mean([])
+            estimate("mean", None, [])
 
 
 class TestQuantile:
     def test_constant(self):
-        assert est_quantile([5.0, 5.0, 5.0], 0.5).value == 5.0
+        assert estimate("quantile", None, [5.0, 5.0, 5.0], q=0.5).value == 5.0
 
     def test_four_point_median(self):
         # ceil(0.5 * 4) = 2nd order statistic under the nearest-rank convention;
         # cross-check against explicit order statistics.
         values = [1.0, 2.0, 3.0, 4.0]
-        assert est_quantile(values, 0.5).value == sorted(values)[1] == 2.0
+        assert estimate("quantile", None, values, q=0.5).value == sorted(values)[1] == 2.0
 
     def test_maximum(self):
-        assert est_quantile([3.0, 1.0, 2.0], 0.99).value == 3.0
+        assert estimate("quantile", None, [3.0, 1.0, 2.0], q=0.99).value == 3.0
 
     def test_always_element(self):
         g = np.random.default_rng(3)
         for _ in range(40):
             y = g.standard_normal(g.integers(1, 25))
             q = float(g.uniform(0.02, 0.98))
-            assert est_quantile(y, q).value in y
+            assert estimate("quantile", None, y, q=q).value in y
 
 
 class TestOlsCoef:
     def test_exact_linear(self):
-        est = est_ols_coef([[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0], 0, intercept=False)
+        est = estimate("ols_coef", [[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0], target_index=0, intercept=False)
         assert est.ok and est.value == pytest.approx(2.0, abs=1e-10)
 
     def test_exact_affine(self):
-        est = est_ols_coef([[1.0], [2.0], [3.0]], [3.0, 5.0, 7.0], 0, intercept=True)
+        est = estimate("ols_coef", [[1.0], [2.0], [3.0]], [3.0, 5.0, 7.0], target_index=0, intercept=True)
         assert est.ok and est.value == pytest.approx(2.0, abs=1e-10)
 
     def test_collinear_flagged(self):
-        est = est_ols_coef([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], 0, intercept=True)
+        est = estimate("ols_coef", [[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], target_index=0, intercept=True)
         assert not est.ok and est.reason == "singular design"
 
     def test_recovers_generating_coefficients(self):
@@ -79,12 +75,12 @@ class TestOlsCoef:
         beta = np.array([1.5, -2.0, 0.25])
         y = X @ beta + 4.0
         for j in range(3):
-            est = est_ols_coef(X, y, j, intercept=True)
+            est = estimate("ols_coef", X, y, target_index=j, intercept=True)
             assert est.value == pytest.approx(beta[j], abs=1e-10)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            est_ols_coef([[1.0, 2.0]], [1.0], 0, intercept=True)
+            estimate("ols_coef", [[1.0, 2.0]], [1.0], target_index=0, intercept=True)
 
     @pytest.mark.parametrize("exponent", [13, 14, 16, 100, 160])
     def test_large_feature_magnitudes_match_unscaled(self, exponent):
@@ -95,24 +91,24 @@ class TestOlsCoef:
         y = X @ np.array([1.0, -2.0]) + g.standard_normal(50)
         scale = 10.0 ** exponent
         for j in range(2):
-            est = est_ols_coef(X * scale, y, j, intercept=True)
+            est = estimate("ols_coef", X * scale, y, target_index=j, intercept=True)
             assert est.ok
-            assert est.value * scale == pytest.approx(est_ols_coef(X, y, j).value, rel=1e-12)
+            assert est.value * scale == pytest.approx(estimate("ols_coef", X, y, target_index=j).value, rel=1e-12)
 
 
 class TestLogisticCoef:
     def test_symmetric_zero_slope(self):
-        est = est_logistic_coef([[-1.0], [-1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0], 0)
+        est = estimate("logistic_coef", [[-1.0], [-1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0], target_index=0)
         assert est.ok and est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_outcome_flagged(self):
-        est = est_logistic_coef([[-1.0], [0.0], [1.0]], [1.0, 1.0, 1.0], 0)
+        est = estimate("logistic_coef", [[-1.0], [0.0], [1.0]], [1.0, 1.0, 1.0], target_index=0)
         assert not est.ok and est.reason == "constant outcome"
 
     def test_matches_grid_maximizer(self):
         x = [[-2.0], [-1.0], [0.0], [1.0], [2.0]]
         y = [0.0, 0.0, 1.0, 0.0, 1.0]
-        est = est_logistic_coef(x, y, 0, intercept=True)
+        est = estimate("logistic_coef", x, y, target_index=0, intercept=True)
         assert est.ok
         assert est.value == pytest.approx(grid_logistic_slope(x, y), abs=1e-4)
 
@@ -123,40 +119,41 @@ class TestLogisticCoef:
             n = int(g.integers(5, 9))
             x = g.standard_normal((n, 1))
             y = (g.random(n) < 0.5).astype(float)
-            est = est_logistic_coef(x, y, 0, intercept=True)
+            est = estimate("logistic_coef", x, y, target_index=0, intercept=True)
             if not est.ok:
                 continue
             assert est.value == pytest.approx(grid_logistic_slope(x, y), abs=1e-4)
             checked += 1
 
     def test_separation_flagged(self):
-        est = est_logistic_coef([[-2.0], [-1.0], [1.0], [2.0]], [0.0, 0.0, 1.0, 1.0], 0)
+        est = estimate("logistic_coef", [[-2.0], [-1.0], [1.0], [2.0]], [0.0, 0.0, 1.0, 1.0], target_index=0)
         assert not est.ok and est.reason == "separation"
 
     def test_collinear_design_flagged(self):
-        est = est_logistic_coef([[1.0], [1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0], 0, intercept=True)
+        est = estimate("logistic_coef", [[1.0], [1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0],
+                       target_index=0, intercept=True)
         assert not est.ok and est.reason == "singular design"
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            est_logistic_coef([[1.0], [2.0], [3.0]], [0.0, 0.5, 1.0], 0)
+            estimate("logistic_coef", [[1.0], [2.0], [3.0]], [0.0, 0.5, 1.0], target_index=0)
 
 
 class TestLogOddsRatio:
     def test_hand_value(self):
-        exposure = [1.0] * 30 + [0.0] * 30
+        exposure = np.array([1.0] * 30 + [0.0] * 30)
         outcome = [1.0] * 20 + [0.0] * 10 + [1.0] * 10 + [0.0] * 20
-        est = est_log_odds_ratio(exposure, outcome)
+        est = estimate("log_odds_ratio", exposure[:, None], outcome)
         assert est.ok and est.value == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_no_association(self):
-        exposure = [1.0] * 10 + [0.0] * 10
+        exposure = np.array([1.0] * 10 + [0.0] * 10)
         outcome = [1.0] * 5 + [0.0] * 5 + [1.0] * 5 + [0.0] * 5
-        assert est_log_odds_ratio(exposure, outcome).value == pytest.approx(0.0, abs=1e-15)
+        assert estimate("log_odds_ratio", exposure[:, None], outcome).value == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_vectors_corrected(self):
-        v = [1.0, 1.0, 0.0, 0.0, 1.0]
-        est = est_log_odds_ratio(v, v)
+        v = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
+        est = estimate("log_odds_ratio", v[:, None], v)
         assert est.reason == "zero cell corrected"
         assert math.isfinite(est.value)
         # counts become (3.5, .5, .5, 2.5) after correction
@@ -167,31 +164,31 @@ class TestLogOddsRatio:
         for _ in range(20):
             e = (g.random(40) < 0.5).astype(float)
             y = (g.random(40) < 0.5).astype(float)
-            a = est_log_odds_ratio(e, y)
-            b = est_log_odds_ratio(e, 1.0 - y)
+            a = estimate("log_odds_ratio", e[:, None], y)
+            b = estimate("log_odds_ratio", e[:, None], 1.0 - y)
             if a.ok and b.ok:
                 assert a.value == pytest.approx(-b.value, abs=1e-12)
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            est_log_odds_ratio([0.0, 1.0, 2.0, 1.0], [0.0, 1.0, 0.0, 1.0])
+            estimate("log_odds_ratio", [[0.0], [1.0], [2.0], [1.0]], [0.0, 1.0, 0.0, 1.0])
 
 
 class TestPearsonCorr:
     def test_perfect_linear(self):
-        est = est_pearson_corr([[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0], 0)
+        est = estimate("pearson_corr", [[1.0], [2.0], [3.0]], [2.0, 4.0, 6.0], feature_column=0)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_perfect_anti_linear(self):
-        est = est_pearson_corr([[1.0], [2.0], [3.0]], [3.0, 2.0, 1.0], 0)
+        est = estimate("pearson_corr", [[1.0], [2.0], [3.0]], [3.0, 2.0, 1.0], feature_column=0)
         assert est.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_value(self):
-        est = est_pearson_corr([[1.0], [2.0], [3.0], [4.0]], [1.0, 3.0, 2.0, 4.0], 0)
+        est = estimate("pearson_corr", [[1.0], [2.0], [3.0], [4.0]], [1.0, 3.0, 2.0, 4.0], feature_column=0)
         assert est.value == pytest.approx(0.8, abs=1e-12)
 
     def test_constant_flagged(self):
-        est = est_pearson_corr([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], 0)
+        est = estimate("pearson_corr", [[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0], feature_column=0)
         assert not est.ok and est.reason == "constant variable"
 
     @pytest.mark.parametrize("features, outcomes", [
@@ -200,7 +197,7 @@ class TestPearsonCorr:
         pytest.param([[1.0], [2.0], [4.0]], [0.1, 0.1, 0.1], id="constant-y-inexact-mean"),
     ])
     def test_constant_with_inexact_mean_flagged(self, features, outcomes):
-        est = est_pearson_corr(features, outcomes, 0)
+        est = estimate("pearson_corr", features, outcomes, feature_column=0)
         assert not est.ok and est.reason == "constant variable"
         assert math.isnan(est.value)
 
@@ -211,16 +208,16 @@ class TestPearsonCorr:
         g = np.random.default_rng(14)
         x = g.standard_normal((50, 1))
         y = 0.5 * x[:, 0] + g.standard_normal(50)
-        est = est_pearson_corr(x * scale, y * scale, 0)
+        est = estimate("pearson_corr", x * scale, y * scale, feature_column=0)
         assert est.ok
-        assert est.value == pytest.approx(est_pearson_corr(x, y, 0).value, abs=1e-12)
+        assert est.value == pytest.approx(estimate("pearson_corr", x, y, feature_column=0).value, abs=1e-12)
 
     def test_range(self):
         g = np.random.default_rng(13)
         for _ in range(50):
             x = g.standard_normal((10, 1))
             y = g.standard_normal(10)
-            assert abs(est_pearson_corr(x, y, 0).value) <= 1.0 + 1e-12
+            assert abs(estimate("pearson_corr", x, y, feature_column=0).value) <= 1.0 + 1e-12
 
 
 class TestPermutationInvariance:
@@ -233,14 +230,17 @@ class TestPermutationInvariance:
         Xb = np.column_stack([e_bin, X[:, 1]])
         perm = g.permutation(24)
         cases = [
-            (est_mean(y_cont).value, est_mean(y_cont[perm]).value),
-            (est_quantile(y_cont, 0.3).value, est_quantile(y_cont[perm], 0.3).value),
-            (est_ols_coef(X, y_cont, 0).value, est_ols_coef(X[perm], y_cont[perm], 0).value),
-            (est_logistic_coef(X, y_bin, 0).value, est_logistic_coef(X[perm], y_bin[perm], 0).value),
-            (est_log_odds_ratio(e_bin, y_bin).value, est_log_odds_ratio(e_bin[perm], y_bin[perm]).value),
-            (est_pearson_corr(X, y_cont, 1).value, est_pearson_corr(X[perm], y_cont[perm], 1).value),
+            ("mean", None, y_cont, {}),
+            ("quantile", None, y_cont, {"q": 0.3}),
+            ("ols_coef", X, y_cont, {"target_index": 0}),
+            ("logistic_coef", X, y_bin, {"target_index": 0}),
+            ("log_odds_ratio", e_bin[:, None], y_bin, {}),
+            ("pearson_corr", X, y_cont, {"feature_column": 1}),
         ]
-        for original, permuted in cases:
+        for kind, features, outcomes, params in cases:
+            permuted_features = None if features is None else features[perm]
+            original = estimate(kind, features, outcomes, **params).value
+            permuted = estimate(kind, permuted_features, outcomes[perm], **params).value
             assert original == permuted
 
 
@@ -252,20 +252,21 @@ class TestEvaluateDispatch:
         y_bin = (g.random(30) < 0.5).astype(float)
         e_bin = (g.random(30) < 0.5).astype(float)
         Xbin = np.column_stack([e_bin, X[:, 1]])
-        assert evaluate(EstimandSpec("mean"), X, y).value == est_mean(y).value
-        assert evaluate(EstimandSpec("quantile", q=0.25), X, y).value == est_quantile(y, 0.25).value
-        assert evaluate(EstimandSpec("ols_coef", target_index=1), X, y).value == est_ols_coef(X, y, 1).value
-        assert (
-            evaluate(EstimandSpec("logistic_coef", target_index=0), X, y_bin).value
-            == est_logistic_coef(X, y_bin, 0).value
-        )
+        # Each kind reads only the columns its spec names: none for the mean
+        # and quantile, and the named one, wherever it sits, for the others.
+        assert evaluate(EstimandSpec("mean"), X, y).value == estimate("mean", None, y).value
+        assert evaluate(EstimandSpec("quantile", q=0.25), X, y).value == estimate("quantile", None, y, q=0.25).value
+        assert evaluate(EstimandSpec("ols_coef", target_index=1), X, y).value == pytest.approx(
+            estimate("ols_coef", X[:, ::-1], y, target_index=0).value, abs=1e-12)
+        assert evaluate(EstimandSpec("logistic_coef", target_index=0), X, y_bin).value == pytest.approx(
+            estimate("logistic_coef", X[:, ::-1], y_bin, target_index=1).value, abs=1e-12)
         assert (
             evaluate(EstimandSpec("log_odds_ratio", exposure_column=0), Xbin, y_bin).value
-            == est_log_odds_ratio(e_bin, y_bin).value
+            == estimate("log_odds_ratio", e_bin[:, None], y_bin).value
         )
         assert (
             evaluate(EstimandSpec("pearson_corr", feature_column=0), X, y).value
-            == est_pearson_corr(X, y, 0).value
+            == estimate("pearson_corr", X[:, [0]], y, feature_column=0).value
         )
 
     def test_spec_validation(self):
