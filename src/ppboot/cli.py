@@ -118,6 +118,11 @@ def _learner_from_args(args) -> LearnerSpec | None:
 
 
 def cmd_infer(args) -> int:
+    if args.method != "ppboot":
+        for flag, given in (("--tune", args.tune), ("--lambda", args.lam is not None),
+                            ("--crossfit", args.crossfit is not None)):
+            if given:
+                raise ValueError(f"{flag} applies to --method ppboot only")
     learner_spec = _learner_from_args(args)
     spec = _estimand_from_args(args)
     if learner_spec is not None:
@@ -130,13 +135,10 @@ def cmd_infer(args) -> int:
     cfg = _bootstrap_config(args, seed)
     schema = _load_json(args.schema)
     stream = RngStream(seed)
-    needs_unlabeled = args.method in ("ppboot", "imputed", "ppi-mean") or args.crossfit is not None
-    if needs_unlabeled and not args.unlabeled:
+    if args.method != "classical" and not args.unlabeled:
         raise ValueError(f"--unlabeled is required for method {args.method!r}")
 
     if args.crossfit is not None:
-        if args.method != "ppboot":
-            raise ValueError("--crossfit applies to --method ppboot only")
         features, outcomes, _ = read_table(args.labeled, schema, need_outcome=True, need_prediction=False)
         unl_features, _, _ = read_table(args.unlabeled, schema, need_outcome=False, need_prediction=False)
         ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit,

@@ -22,7 +22,7 @@ BLAS thread count, and on the full side or on a fresh side of the drawn
 rows.  Adding the band sums smallest first gives the statistics.  Each
 resample then gets a small batched solve, and a screen sends an
 ill-conditioned one to the reference formula alone: a Gram matrix whose
-condition bounds fail (:func:`_solve_gram`) to :func:`fit_least_squares`, a
+scaled condition fails (:func:`_solve_gram`) to :func:`fit_least_squares`, a
 Pearson moment that cancels to the centred two-pass formula.  So every
 degeneracy reason comes from the reference rule.  Logistic's later Newton
 steps run per resample in :func:`fit_logistic`, the one IRLS.
@@ -65,14 +65,12 @@ CHUNK_BYTES = 1 << 20
 # 2**-16 to 2**8 at 10**4 rows, take two bands where it would straddle three.
 BAND_OFFSET = 8
 # Screens that send a resample from the chunked engine to the reference
-# formula alone.  GRAM_CONDITION_MAX keeps the weighted design's smallest
-# singular value above 1e-6 of its largest, far from the rank cut of
-# fit_least_squares.  SCALED_CONDITION_MAX bounds the conditioning of the
-# unit-diagonal Gram matrix, which sets how far the Cholesky solve of the
-# normal equations strays from fit_least_squares (2e-13 at most on designs
-# like the property tests'; 1e4 allowed 2e-12).  PEARSON_CANCELLATION is the
-# smallest centred share of a raw second moment the raw-moment formula takes.
-GRAM_CONDITION_MAX = 1e12
+# formula alone.  SCALED_CONDITION_MAX bounds the conditioning of the
+# unit-diagonal Gram matrix, which (van der Sluis, 1969) sets how far the
+# solve of the normal equations strays from fit_least_squares at any column
+# scale (2e-13 at most on designs like the property tests'; 1e4 allowed
+# 2e-12).  PEARSON_CANCELLATION is the smallest centred share of a raw
+# second moment the raw-moment formula takes.
 SCALED_CONDITION_MAX = 1e3
 PEARSON_CANCELLATION = 1.0 / 64.0
 
@@ -384,44 +382,26 @@ def _split_bands(stats: np.ndarray, size: int) -> list[tuple[np.ndarray | None, 
 def _solve_gram(G: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``G beta = r`` for a stack of small Gram matrices; ``(beta, ok)``.
 
-    A Cholesky factorisation ``G = L Lᵀ`` and the inverse of ``L``, written
-    out as elementwise operations across the stack, so a matrix's result does
-    not depend on its position or on the stack's length.  ``ok`` is the
-    screen: ``tr(G) tr(G⁻¹)`` bounds the condition number of ``G``, the
-    square of the weighted design's, and ``p Σ G_jj (G⁻¹)_jj`` bounds it for
-    the unit-diagonal ``G``, which governs the accuracy of the Cholesky
-    solve.  Both must stay within their limits, and the pivots and the
-    solution must be finite.
+    One batched ``np.linalg.eigh`` of the unit-diagonal ``S = D^-1/2 G D^-1/2``
+    gives ``S = V diag(w) Vᵀ``; LAPACK takes each matrix on its own, so a
+    result does not depend on its position or on the stack's length.  ``ok``
+    is the screen: ``p Σ 1/w`` (that is, ``p Σ G_jj (G⁻¹)_jj``) within
+    ``SCALED_CONDITION_MAX``, every ``w`` positive and ``beta`` finite.  A
+    matrix with a non-finite entry or a non-positive diagonal, on which
+    LAPACK could fail the whole stack, is skipped and not ok.
     """
-    p = r.shape[1]
-    L = np.zeros_like(G)
-    M = np.zeros_like(G)  # L⁻¹
+    beta = np.full(r.shape, np.nan)
+    ok = np.zeros(r.shape[0], dtype=bool)
+    diagonal = np.diagonal(G, axis1=1, axis2=2)
+    run = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(r).all(axis=1) & np.all(diagonal > 0.0, axis=1)
+    s = 1.0 / np.sqrt(diagonal[run])
+    w, V = np.linalg.eigh(G[run] * s[:, :, None] * s[:, None, :])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(p):
-            pivot = G[:, j, j]
-            for k in range(j):
-                pivot = pivot - L[:, j, k] * L[:, j, k]
-            L[:, j, j] = np.sqrt(pivot)
-            for i in range(j + 1, p):
-                s = G[:, i, j]
-                for k in range(j):
-                    s = s - L[:, i, k] * L[:, j, k]
-                L[:, i, j] = s / L[:, j, j]
-        for i in range(p):
-            M[:, i, i] = 1.0 / L[:, i, i]
-            for j in range(i):
-                s = L[:, i, j] * M[:, j, j]
-                for k in range(j + 1, i):
-                    s = s + L[:, i, k] * M[:, k, j]
-                M[:, i, j] = -s / L[:, i, i]
-        z = [sum(M[:, i, k] * r[:, k] for k in range(i + 1)) for i in range(p)]
-        beta = np.column_stack([sum(M[:, i, j] * z[i] for i in range(j, p)) for j in range(p)])
-        inverse_diagonal = [sum(M[:, i, j] * M[:, i, j] for i in range(j, p)) for j in range(p)]
-        diagonal = [G[:, j, j] for j in range(p)]
-        condition = sum(diagonal) * sum(inverse_diagonal)
-        scaled = p * sum(d * v for d, v in zip(diagonal, inverse_diagonal))
-    ok = (condition <= GRAM_CONDITION_MAX) & (scaled <= SCALED_CONDITION_MAX) & np.isfinite(beta).all(axis=1)
-    return beta, ok
+        # beta = s V diag(1/w) Vᵀ (s r)
+        z = (V * (s * r[run])[:, :, None]).sum(axis=1) / w
+        beta[run] = s * (V * z[:, None, :]).sum(axis=2)
+        ok[run] = (w[:, 0] > 0.0) & (r.shape[1] * (1.0 / w).sum(axis=1) <= SCALED_CONDITION_MAX)
+    return beta, ok & np.isfinite(beta).all(axis=1)
 
 
 class Resampler:

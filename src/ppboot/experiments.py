@@ -348,7 +348,8 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     Ground truth is the estimand evaluated once on the whole dataset.  A trial
     whose method raises an estimation error counts as not covered; a method
     failing more than 10% of trials at any n aborts the study.  ``threads``
-    caps the worker processes; with one worker the cells run in this process.
+    caps the worker processes, which never outnumber the cells or the CPUs
+    this process may use; with one worker the cells run in this process.
     Results never depend on it.
     """
     if threads < 1:
@@ -362,7 +363,9 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     truth = transform_value(truth_est.value, config.estimand)
 
     cells = [(ni, t) for ni in range(len(config.n_grid)) for t in range(config.trials)]
-    workers = min(threads, len(cells))
+    # Workers beyond the CPUs this process may run on would only queue.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, len(cells), cpus)
     if workers == 1:
         outcomes = [_run_cell(full, config, cell) for cell in cells]
     else:
@@ -480,9 +483,9 @@ def dataset_from_config(raw: dict, seed: int) -> LabeledDataset:
 
 def study_from_config(raw: dict, seed: int) -> tuple[LabeledDataset, TrialConfig]:
     """Parse a full study config; the seed overrides the bootstrap master seed."""
+    config = TrialConfig.from_dict(raw)  # checks first that raw is an object
     if "data" not in raw:
         raise ValueError("study config requires a 'data' section")
-    config = TrialConfig.from_dict(raw)
     config = replace(config, bootstrap=replace(config.bootstrap, master_seed=seed))
     full = dataset_from_config(raw["data"], seed)
     return full, config

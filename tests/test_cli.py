@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import ppboot
-from ppboot.boot import MAX_B
+from ppboot.baselines import imputed_interval, ppi_mean_interval
+from ppboot.boot import MAX_B, BootstrapConfig, ppboot_interval, reported_interval
 from ppboot.cli import main
-from ppboot.estimators import CHUNK_BYTES
+from ppboot.data import load_csv
+from ppboot.estimators import CHUNK_BYTES, EstimandSpec
+from ppboot.resampling import RngStream
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 LABELED = os.path.join(FIXTURES, "labeled.csv")
@@ -174,6 +177,41 @@ class TestInfer:
             "'linear_least_squares': the estimand needs 0/1 predictions and it averages the fold models' predictions"
         ]
 
+    @pytest.mark.parametrize("method", ["classical", "imputed", "ppi-mean"])
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param({"--tune": ""}, "--tune applies to --method ppboot only", id="tune"),
+        pytest.param({"--lambda": "0.7"}, "--lambda applies to --method ppboot only", id="lambda"),
+    ])
+    def test_multiplier_flags_need_ppboot(self, capsys, method, flags, message):
+        code, out, err = run_cli(infer_args(**{"--method": method, **flags}), capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ppboot: error: {message}"]
+
+    @pytest.mark.parametrize("method, flags", [
+        pytest.param("imputed", {}, id="imputed"),
+        pytest.param("ppi-mean", {}, id="ppi-mean"),
+        pytest.param("ppboot", {"--tune": ""}, id="ppboot-tuned"),
+    ])
+    def test_output_is_the_library_interval(self, capsys, method, flags):
+        code, out, _ = run_cli(infer_args(**{"--method": method, **flags}), capsys)
+        assert code == 0
+        with open(SCHEMA, encoding="utf-8") as fh:
+            schema = json.load(fh)
+        labeled = load_csv(LABELED, schema, expect="labeled")
+        unlabeled = load_csv(UNLABELED, schema, expect="unlabeled")
+        spec = EstimandSpec("mean")
+        cfg = BootstrapConfig(B=200, alpha=0.1, lambda_mode="tuned" if flags else "off", master_seed=42)
+        if method == "imputed":
+            ci = imputed_interval(unlabeled, spec, cfg, RngStream(42))
+        elif method == "ppi-mean":
+            ci = ppi_mean_interval(labeled, unlabeled, cfg.alpha)
+        else:
+            ci = ppboot_interval(labeled, unlabeled, spec, cfg, RngStream(42))
+        ci = reported_interval(ci, spec)
+        expected = dict(zip(JSON_KEY_ORDER, [method, "mean", ci.lower, ci.upper, ci.point_estimate, ci.lambda_used,
+                                             200, 0.1, 42, ci.degenerate_iterations]))
+        assert out == json.dumps(expected) + "\n"
+
     def test_imputed_needs_unlabeled(self, capsys):
         code, _, err = run_cli(infer_args(**{"--method": "imputed", "--unlabeled": None}), capsys)
         assert code == 2
@@ -304,6 +342,16 @@ class TestStudy:
         assert not out_dir.exists()
         assert len(err.strip().splitlines()) == 1
         assert named in err
+
+    @pytest.mark.parametrize("text, shown", [("5", "5"), ("null", "None"), ("true", "True")], ids=["5", "null", "true"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, shown):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["study", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ppboot: error: study config must be an object, got {shown}"]
+        assert not out_dir.exists()
 
     def test_failing_method_exits_4_without_outputs(self, tmp_path, capsys):
         # Constant predictions break the imputed odds ratio on every trial

@@ -1,5 +1,6 @@
 """Synthetic generators, the coverage harness, and report serialization."""
 
+import concurrent.futures
 import copy
 import csv
 import multiprocessing
@@ -359,7 +360,26 @@ class TestWorkerProcesses:
             blobs.append({key: open(path, "rb").read() for key, path in paths.items()})
         assert blobs[0] == blobs[1]
 
-    def test_cells_run_in_child_processes(self):
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, tmp_path):
+        # On one usable CPU a threads=4 study runs in this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        full, config = _bern_data(), _study_config(trials=4)
+        blobs = []
+        for threads in (1, 4):
+            paths = write_reports(run_coverage_study(full, config, threads=threads), str(tmp_path / str(threads)))
+            blobs.append({key: open(path, "rb").read() for key, path in paths.items()})
+        assert blobs[0] == blobs[1]
+
+    def test_cells_run_in_child_processes(self, monkeypatch):
+        # Two usable CPUs whatever the machine has, so two workers start.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         full = _bern_data()
         config = _study_config(trials=10)
         before = _children_cpu_s()

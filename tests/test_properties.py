@@ -334,7 +334,8 @@ def engine_problems(draw, kinds: tuple[str, ...] = MERGED_KINDS):
     constant columns are common.  A continuous feature may also be shifted
     by 1e3, which makes a design with an intercept ill-conditioned and
     Pearson's raw moments cancel, or set to 0.1, a constant whose mean is
-    inexact.
+    inexact.  A continuous column other than the target is then scaled by
+    ``2**k``, ``|k| <= 30``.
     """
     kind = draw(st.sampled_from(kinds))
     d = draw(st.integers(1, 3))
@@ -353,6 +354,11 @@ def engine_problems(draw, kinds: tuple[str, ...] = MERGED_KINDS):
             X[:, j] += 1000.0
         elif change == "constant":
             X[:, j] = 0.1
+    # A power-of-two scale is exact and leaves the target's coefficient as it
+    # is, but a large one makes the Gram matrix badly scaled, shifted or not.
+    scalable = [j for j in range(d) if not binary[j] and j != spec.target_index]
+    if scalable:
+        X[:, draw(st.sampled_from(scalable))] *= 2.0 ** draw(st.integers(-30, 30))
     return spec, X, y
 
 
