@@ -78,7 +78,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -128,10 +128,7 @@ def cmd_infer(args) -> int:
     if learner_spec is not None:
         # The study's rule for its cross-ppboot method, checked before any fold model is trained.
         _check_binary_predictions("cross-ppboot", spec.kind, learner_spec)
-    seed = args.seed
-    if seed is None:
-        print("ppboot: warning: --seed not given, defaulting to 0", file=sys.stderr)
-        seed = 0
+    seed = 0 if args.seed is None else args.seed
     cfg = _bootstrap_config(args, seed)
     schema = _load_json(args.schema)
     stream = RngStream(seed)
@@ -173,6 +170,8 @@ def cmd_infer(args) -> int:
         "seed": seed,
         "degenerate_iterations": ci.degenerate_iterations,
     }
+    if args.seed is None:
+        print("ppboot: warning: --seed not given, defaulting to 0", file=sys.stderr)
     print(json.dumps(out))
     return 0
 

@@ -7,7 +7,9 @@ read-only) and therefore safe to share across concurrent readers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +30,19 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _freeze(dataset) -> None:
+    """Check a dataset's fields (2-D features, 1-D others, one row count >= 2) and freeze copies."""
+    arrays = {f.name: _frozen_array(getattr(dataset, f.name), f.name, 2 if f.name == "features" else 1)
+              for f in fields(dataset)}
+    rows = {name: arr.shape[0] for name, arr in arrays.items()}
+    if len(set(rows.values())) > 1:
+        raise ValidationError("row counts differ: " + ", ".join(f"{name} {count}" for name, count in rows.items()))
+    if rows["features"] < 2:
+        raise ValidationError(f"need at least 2 rows, got {rows['features']}")
+    for name, arr in arrays.items():
+        object.__setattr__(dataset, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Features, true outcomes, and model predictions, row-aligned."""
@@ -37,18 +52,7 @@ class LabeledDataset:
     predictions: np.ndarray
 
     def __post_init__(self):
-        feats = _frozen_array(self.features, "features", 2)
-        outs = _frozen_array(self.outcomes, "outcomes", 1)
-        preds = _frozen_array(self.predictions, "predictions", 1)
-        if not (feats.shape[0] == outs.size == preds.size):
-            raise ValidationError(
-                f"row counts differ: features {feats.shape[0]}, outcomes {outs.size}, predictions {preds.size}"
-            )
-        if feats.shape[0] < 2:
-            raise ValidationError(f"need at least 2 rows, got {feats.shape[0]}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "predictions", preds)
+        _freeze(self)
 
     @property
     def n(self) -> int:
@@ -67,16 +71,7 @@ class UnlabeledDataset:
     predictions: np.ndarray
 
     def __post_init__(self):
-        feats = _frozen_array(self.features, "features", 2)
-        preds = _frozen_array(self.predictions, "predictions", 1)
-        if feats.shape[0] != preds.size:
-            raise ValidationError(
-                f"row counts differ: features {feats.shape[0]}, predictions {preds.size}"
-            )
-        if feats.shape[0] < 2:
-            raise ValidationError(f"need at least 2 rows, got {feats.shape[0]}")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "predictions", preds)
+        _freeze(self)
 
     @property
     def N(self) -> int:
@@ -105,61 +100,53 @@ def _check_schema(schema: dict, *, need_outcome: bool, need_prediction: bool) ->
     return outcome, prediction, features
 
 
-def _parse_column(rows: list[list[str]], col: int, name: str, path: str) -> np.ndarray:
-    """One column as floats, parsed in one pass and checked in one call."""
-    cells = [row[col] for row in rows]
-    try:
-        out = np.fromiter(map(float, cells), np.float64, len(cells))
-        if np.all(np.isfinite(out)):
-            return out
-    except ValueError:
-        pass
-    # The column has a bad cell: report the first one, as a cell-by-cell
-    # parse meets it.
-    for i, cell in enumerate(cells):
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise ParseError(f"{path}: cannot parse {cell!r} at row {i + 1}, column {name!r}") from exc
-        if not np.isfinite(value):
-            raise ValidationError(f"{path}: non-finite value {cell!r} at row {i + 1}, column {name!r}")
-
-
 def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: bool = True):
-    """Read a headered CSV into (features, outcomes, predictions) arrays.
+    """Read a headered CSV, in one pass, into (features, outcomes, predictions) arrays.
 
-    Row order is preserved.  ``outcomes``/``predictions`` are ``None`` when
-    the corresponding role is not requested.
+    Row order is preserved and blank lines are skipped.  ``outcomes``/``predictions``
+    are ``None`` when the corresponding role is not requested.
     """
     outcome_col, prediction_col, feature_cols = _check_schema(
         schema, need_outcome=need_outcome, need_prediction=need_prediction
     )
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file; a header row is required")
-        rows = [row for row in reader if row]
-
-    positions = {name: i for i, name in enumerate(header)}
     wanted = list(feature_cols)
     if need_outcome:
         wanted.append(outcome_col)
     if need_prediction:
         wanted.append(prediction_col)
-    for name in wanted:
-        if name not in positions:
-            raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
-
-    features = np.column_stack(
-        [_parse_column(rows, positions[c], c, path) for c in feature_cols]
-    ) if rows else np.empty((0, len(feature_cols)))
-    outcomes = _parse_column(rows, positions[outcome_col], outcome_col, path) if need_outcome else None
-    predictions = _parse_column(rows, positions[prediction_col], prediction_col, path) if need_prediction else None
-    return features, outcomes, predictions
+    table, bad = array("d"), {}  # bad: wanted index -> (row, cell, unparsable) of its first bad cell
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file; a header row is required")
+            positions = {name: i for i, name in enumerate(header)}
+            for name in wanted:
+                if name not in positions:
+                    raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
+            cols = [positions[name] for name in wanted]
+            for i, row in enumerate(filter(None, reader), 1):
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+                for j, col in enumerate(cols):
+                    try:
+                        value = float(row[col])
+                    except ValueError:
+                        value = None
+                    if (value is None or not math.isfinite(value)) and j not in bad:
+                        bad[j] = (i, row[col], value is None)
+                    table.append(0.0 if value is None else value)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if bad:
+        j = min(bad)
+        row, cell, unparsable = bad[j]
+        error, what = (ParseError, "cannot parse") if unparsable else (ValidationError, "non-finite value")
+        raise error(f"{path}: {what} {cell!r} at row {row}, column {wanted[j]!r}")
+    full = np.frombuffer(table).reshape(-1, len(wanted))
+    d = len(feature_cols)
+    return full[:, :d], full[:, d] if need_outcome else None, full[:, -1] if need_prediction else None
 
 
 def load_csv(path: str, schema: dict, expect: str = "labeled"):

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the config-section check."""
 
+import json
+
 NUMBER = (int, float)
 
 
@@ -33,10 +35,11 @@ def check_config(raw: dict, types: dict[str, tuple[type, ...] | list[type]], sec
     ``types`` maps every allowed key to the accepted value types; a list of
     types instead means a list or tuple whose entries have one of them.
     ``bool`` passes only where listed, although Python counts it as an
-    ``int``.  The ``ValueError`` names the section and the key.
+    ``int``.  The ``ValueError`` names the section and the key, and shows the
+    value in JSON spelling.
     """
     if not isinstance(raw, dict):
-        raise ValueError(f"{section} config must be an object, got {raw!r}")
+        raise ValueError(f"{section} config must be an object, got {json.dumps(raw, default=repr)}")
     unknown = set(raw) - set(types)
     if unknown:
         raise ValueError(f"unknown {section} config keys: {sorted(unknown)}")
@@ -48,4 +51,4 @@ def check_config(raw: dict, types: dict[str, tuple[type, ...] | list[type]], sec
         for what, item, kinds in checks:
             if not isinstance(item, kinds) or (isinstance(item, bool) and bool not in kinds):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
-                raise ValueError(f"{section} config {what} must be {names}, got {item!r}")
+                raise ValueError(f"{section} config {what} must be {names}, got {json.dumps(item, default=repr)}")

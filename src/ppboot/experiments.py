@@ -76,7 +76,6 @@ class SyntheticSpec:
     rho: float = 0.9
     offset: float = 0.0
     prediction_noise_sd: float = 0.1
-    seed_path: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.dgp not in DGP_KINDS:
@@ -102,14 +101,12 @@ class SyntheticSpec:
             raise ValueError(f"rho must lie in (0, 1]: got {self.rho}")
         object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
         object.__setattr__(self, "joint", tuple(float(p) for p in self.joint))
-        object.__setattr__(self, "seed_path", tuple(int(c) for c in self.seed_path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
         check_config(raw, {
             "dgp": (str,), "total_rows": (int,), "coef": [*NUMBER], "noise_sd": NUMBER, "p": NUMBER,
-            "joint": [*NUMBER], "prediction_model": (str,), "rho": NUMBER, "offset": NUMBER,
-            "prediction_noise_sd": NUMBER, "seed_path": [int],
+            "joint": [*NUMBER], "prediction_model": (str,), "rho": NUMBER, "offset": NUMBER, "prediction_noise_sd": NUMBER,
         }, "synthetic")
         return cls(**raw)
 
@@ -142,8 +139,6 @@ def _draw_outcomes(spec: SyntheticSpec, g: np.random.Generator) -> tuple[np.ndar
 
 def generate_synthetic(spec: SyntheticSpec, stream: RngStream) -> LabeledDataset:
     """Generate a fully labeled dataset with a prediction column."""
-    if spec.seed_path:
-        stream = stream.child(*spec.seed_path)
     g = stream.generator()
     X, y = _draw_outcomes(spec, g)
 

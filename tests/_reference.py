@@ -7,9 +7,12 @@ package under test.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+
+from ppboot.errors import ParseError, SchemaError, ValidationError
 
 
 def stream_gen(master_seed: int, path: tuple[int, ...]) -> np.random.Generator:
@@ -171,3 +174,47 @@ def grid_logistic_slope(features, outcomes, span: float = 10.0, rounds: int = 6,
         _, c0, c1 = best
         span = span / 8.0
     return c1
+
+
+def read_table(path: str, feature_cols: list[str], outcome_col: str | None, prediction_col: str | None):
+    """The two-pass CSV reader that ``ppboot.data.read_table`` replaced.
+
+    It holds every non-blank row as strings, checks every row's length, then
+    parses the wanted columns one by one (features, outcome, prediction) and
+    reports the first bad cell of the first bad column.  A role given as
+    ``None`` is not read and comes back as ``None``.
+    """
+    def parse_column(rows, col, name):
+        cells = [row[col] for row in rows]
+        try:
+            out = np.fromiter(map(float, cells), np.float64, len(cells))
+            if np.all(np.isfinite(out)):
+                return out
+        except ValueError:
+            pass
+        for i, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise ParseError(f"{path}: cannot parse {cell!r} at row {i + 1}, column {name!r}") from exc
+            if not np.isfinite(value):
+                raise ValidationError(f"{path}: non-finite value {cell!r} at row {i + 1}, column {name!r}")
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file; a header row is required")
+        rows = [row for row in reader if row]
+    positions = {name: i for i, name in enumerate(header)}
+    roles = [c for c in (outcome_col, prediction_col) if c is not None]
+    for name in list(feature_cols) + roles:
+        if name not in positions:
+            raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
+    features = np.column_stack(
+        [parse_column(rows, positions[c], c) for c in feature_cols]
+    ) if rows else np.empty((0, len(feature_cols)))
+    return features, *(None if c is None else parse_column(rows, positions[c], c) for c in (outcome_col, prediction_col))

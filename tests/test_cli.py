@@ -97,6 +97,49 @@ class TestInfer:
         assert "warning" in err
         assert json.loads(out)["seed"] == 0
 
+    @pytest.mark.parametrize("flags, exit_code", [
+        pytest.param({"--method": "imputed", "--unlabeled": None}, 2, id="imputed-without-unlabeled"),
+        pytest.param({"--schema": os.path.join(FIXTURES, "no-such-schema.json")}, 3, id="missing-schema"),
+    ])
+    def test_failure_without_seed_prints_one_line(self, capsys, flags, exit_code):
+        # The --seed warning comes with a result only, never with an error.
+        code, out, err = run_cli(infer_args(**{"--seed": None, **flags}), capsys)
+        assert (code, out) == (exit_code, "")
+        assert len(err.splitlines()) == 1 and err.startswith("ppboot: error: ")
+
+    @pytest.mark.parametrize("flag", ["--labeled", "--schema"])
+    def test_input_that_is_not_utf8_exits_3(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"x,y,fhat\n1,\xff,3\n" if flag == "--labeled" else b'{"outcome": "\xff"}')
+        code, out, err = run_cli(infer_args(**{flag: str(bad)}), capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and str(bad) in err
+
+    @pytest.mark.parametrize("schema, message", [
+        pytest.param([1], "schema must be a mapping of column roles", id="not-an-object"),
+        pytest.param({"outcome": "y", "prediction": "fhat"},
+                     "schema requires a non-empty 'features' list of column names", id="no-features"),
+        pytest.param({"outcome": "y", "prediction": "fhat", "features": []},
+                     "schema requires a non-empty 'features' list of column names", id="empty-features"),
+        pytest.param({"prediction": "fhat", "features": ["x"]}, "schema requires an 'outcome' column name",
+                     id="no-outcome"),
+        pytest.param({"outcome": "y", "features": ["x"]}, "schema requires a 'prediction' column name",
+                     id="no-prediction"),
+    ])
+    def test_bad_schema_exits_3(self, tmp_path, capsys, schema, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(schema), encoding="utf-8")
+        code, out, err = run_cli(infer_args(**{"--schema": str(path)}), capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"ppboot: error: {message}"]
+
+    def test_file_without_header_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        code, out, err = run_cli(infer_args(**{"--labeled": str(empty)}), capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"ppboot: error: {empty}: empty file; a header row is required"]
+
     def test_parse_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y,fhat\n1,oops,3\n2,4,5\n", encoding="utf-8")
@@ -294,9 +337,9 @@ class TestStudy:
         pytest.param({"n_grid": [True]}, "'n_grid'", id="bool-n"),
         pytest.param({"methods": ["ppboot", 1]}, "'methods'", id="int-method"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [1.5]}}},
-                     "'seed_path'", id="float-seed-path"),
+                     "'seed_path'", id="unknown-seed-path-float"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [False]}}},
-                     "'seed_path'", id="bool-seed-path"),
+                     "'seed_path'", id="unknown-seed-path-bool"),
         pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": ["1.5"]}}},
                      "'coef'", id="string-coef"),
         pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": [True]}}},
@@ -343,7 +386,8 @@ class TestStudy:
         assert len(err.strip().splitlines()) == 1
         assert named in err
 
-    @pytest.mark.parametrize("text, shown", [("5", "5"), ("null", "None"), ("true", "True")], ids=["5", "null", "true"])
+    @pytest.mark.parametrize("text, shown", [("5", "5"), ("null", "null"), ("true", "true"), ('"x"', '"x"')],
+                             ids=["5", "null", "true", "string"])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text, shown):
         cfg = tmp_path / "config.json"
         cfg.write_text(text, encoding="utf-8")
@@ -351,6 +395,15 @@ class TestStudy:
         code, out, err = run_cli(["study", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"], capsys)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"ppboot: error: study config must be an object, got {shown}"]
+        assert not out_dir.exists()
+
+    def test_config_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"trials": \xff}')
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["study", "--config", str(cfg), "--out", str(out_dir), "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and f"invalid JSON in {cfg}:" in err
         assert not out_dir.exists()
 
     def test_failing_method_exits_4_without_outputs(self, tmp_path, capsys):

@@ -1,9 +1,17 @@
 """CSV ingestion, dataset invariants, and trial splitting."""
 
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference as ref
 from ppboot import (
+    DataError,
     LabeledDataset,
     ParseError,
     RngStream,
@@ -11,6 +19,7 @@ from ppboot import (
     UnlabeledDataset,
     ValidationError,
     load_csv,
+    read_table,
     split_trial,
 )
 
@@ -90,6 +99,80 @@ class TestLoadCsv:
         path = _write(tmp_path, "o.csv", "x,y,fhat\n9,1,1\n3,2,2\n7,3,3\n5,4,4\n")
         ds = load_csv(path, SCHEMA_1D, expect="labeled")
         assert ds.features[:, 0].tolist() == [9.0, 3.0, 7.0, 5.0]
+
+
+NAMES = ["a", "b", "c", "d"]
+# Cells that float() parses, bare and quoted, and cells that it parses to a
+# non-finite value or rejects.  Good cells come three times as often.
+GOOD = ["1", "-2.5", " 3 ", "-0.0", "+.5", "1e-320", "1_000", '"4"', '" 7"']
+BAD = ["1e999", "-inf", " inf", "nan", "NaN", "0x10", "abc", " x ", "", '"1,5"', '"nan"']
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV text with shuffled, quoted or repeated header names, blank lines,
+    CRLF line ends, ragged rows and bad cells, plus roles that now and then
+    name a column the header lacks ("z")."""
+    header = draw(st.lists(st.sampled_from(NAMES + ['"a"', '"b"']), min_size=1, max_size=5))
+    cell = st.sampled_from(GOOD * 3 + BAD)
+    row = st.lists(cell, min_size=len(header), max_size=len(header))
+    ragged = st.lists(cell, min_size=1, max_size=len(header) + 2)
+    rows = draw(st.lists(st.one_of(row, row, row, st.just([])), max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(ragged))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(cells) for cells in [header, *rows]) + draw(st.sampled_from(["", newline]))
+    names = sorted({name.strip('"') for name in header}) + draw(st.sampled_from([[]] * 7 + [["z"]]))
+    features = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    outcome = draw(st.sampled_from([None] + [c for c in names if c not in features]))
+    prediction = draw(st.sampled_from([None] + [c for c in names if c not in features + [outcome]]))
+    return text, features, outcome, prediction
+
+
+def _arrays_or_error(read, *args, **kwargs):
+    try:
+        return read(*args, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestReadTable:
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_cases())
+    def test_matches_the_two_pass_reader(self, case):
+        text, features, outcome, prediction = case
+        schema = {"features": features, "outcome": outcome, "prediction": prediction}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            got = _arrays_or_error(read_table, path, schema, need_outcome=outcome is not None,
+                                   need_prediction=prediction is not None)
+            want = _arrays_or_error(ref.read_table, path, features, outcome, prediction)
+        if isinstance(want[0], type):
+            assert isinstance(got[0], type) and got == want, got
+            return
+        assert not isinstance(got[0], type), got
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_holds_little_more_than_the_table(self, tmp_path):
+        # Only the parsed floats are kept, never the rows of strings.
+        rows, cols = 20_000, 4
+        path = str(tmp_path / "u.csv")
+        np.savetxt(path, np.random.default_rng(0).standard_normal((rows, cols)), fmt="%.10g", delimiter=",",
+                   header="x1,x2,x3,fhat", comments="")
+        tracemalloc.start()
+        try:
+            features, _, predictions = read_table(path, {"prediction": "fhat", "features": ["x1", "x2", "x3"]},
+                                                  need_outcome=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (rows, cols - 1) and predictions.shape == (rows,)
+        assert peak < 3 * rows * cols * 8
 
 
 class TestDatasetInvariants:
