@@ -115,6 +115,7 @@ def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: 
     if need_prediction:
         wanted.append(prediction_col)
     table, bad = array("d"), {}  # bad: wanted index -> (row, cell, unparsable) of its first bad cell
+    header, i = None, 0  # the header and the count of data rows read, for a csv.Error
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -139,6 +140,9 @@ def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: 
                     table.append(0.0 if value is None else value)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        where = f"row {i + 1}" if header is not None else "the header row"
+        raise ParseError(f"{path}: cannot read {where}: {exc}") from exc
     if bad:
         j = min(bad)
         row, cell, unparsable = bad[j]

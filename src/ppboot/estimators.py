@@ -11,21 +11,29 @@ weights).  :func:`evaluate` is the identity resample.
 The feature-keyed estimands run a chunked engine (:class:`Resampler`).  Each
 merged row carries the statistics whose count-weighted sums determine the
 estimate: one-hot cells for the log odds ratio, raw moments for Pearson, and
-for OLS the upper triangle of ``x xᵀ`` plus ``x y`` (for logistic's first
-Newton step ``x (y - 1/2)``).  These are split once into bands on a fixed
-power-of-two grid of width ``52 - bit_length(sample size)`` bits, after the
-error-free transformation of Ozaki, Ogita, Oishi and Rump (Numerical
-Algorithms 59, 2012): integer counts times one band sum exactly in any
-order, so one matrix product of a chunk's count matrix with the bands gives
-every resample's sums, bit for bit the same alone or in any chunk, at any
-BLAS thread count, and on the full side or on a fresh side of the drawn
-rows.  Adding the band sums smallest first gives the statistics.  Each
-resample then gets a small batched solve, and a screen sends an
-ill-conditioned one to the reference formula alone: a Gram matrix whose
-scaled condition fails (:func:`_solve_gram`) to :func:`fit_least_squares`, a
-Pearson moment that cancels to the centred two-pass formula.  So every
-degeneracy reason comes from the reference rule.  Logistic's later Newton
-steps run per resample in :func:`fit_logistic`, the one IRLS.
+for OLS the upper triangle of ``x xᵀ`` plus ``x y``.  For logistic they are
+those of one Newton step from the side's own fit β̂ (its anchor, zero when
+that fit is degenerate): the upper triangle of ``x xᵀ`` weighted by the
+fitted ``μ̂ (1 - μ̂)``, plus ``x (y - μ̂)``.  These are split once into bands
+on a fixed power-of-two grid of width ``52 - bit_length(sample size)`` bits,
+after the error-free transformation of Ozaki, Ogita, Oishi and Rump
+(Numerical Algorithms 59, 2012): integer counts times one band sum exactly
+in any order, so one matrix product of a chunk's count matrix with the bands
+gives every resample's sums, bit for bit the same alone or in any chunk and
+at any BLAS thread count (and, but for logistic, whose anchor is the side's,
+on the full side or on a fresh side of the drawn rows).  Adding the band
+sums smallest first gives the statistics.  Each resample then gets a small
+batched solve, and a screen sends an ill-conditioned one to the reference
+formula alone: a Gram matrix whose scaled condition fails
+(:func:`_solve_gram`) to :func:`fit_least_squares` (for logistic, to
+:func:`fit_logistic` from zero, which also has the last word on separation
+found on the way from the anchor), a Pearson moment that cancels to the
+centred two-pass formula.  So every degeneracy reason comes from the
+reference rule.  Logistic's later Newton steps run in :func:`_irls`, the one
+IRLS loop: on a side of at most ``STACK_ROWS`` merged rows as one stack over
+the chunk's resamples, on the merged rows, and on a larger side per
+resample, on its drawn rows.  Each member stops on its own, so either way a
+resample's bits depend on its counts alone.
 
 Mean and quantile stay on the drawn values: the mean's bits are those of the
 sorted sum, which a weighted sum would not reproduce.  Conditions that make
@@ -75,8 +83,14 @@ SCALED_CONDITION_MAX = 1e3
 PEARSON_CANCELLATION = 1.0 / 64.0
 
 IRLS_TOL = 1e-8
+# A logistic side of at most this many merged rows takes its later Newton
+# steps as one stack over a chunk's resamples, on the merged rows; a larger
+# side takes them per resample, on the drawn rows.
+STACK_ROWS = 512
 IRLS_MAX_ITER = 100
 SEPARATION_BOUND = 50.0
+# The relative tolerance of the separation test (_separates).
+SEPARATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -228,47 +242,124 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = 
     return np.ldexp(beta, -exponent), rank
 
 
-def fit_logistic(
-    design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None, step: np.ndarray | None = None
-) -> tuple[np.ndarray | None, str | None]:
+def fit_logistic(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[np.ndarray | None, str | None]:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
     Row ``i`` counts ``w[i]`` times (all once by default).  Returns
     ``(beta, None)``, or ``(None, reason)`` when the fit is ill-posed.  IRLS
-    starts from zero, where every fitted probability is 1/2, so the first
-    Newton step is 4 times the weighted least-squares fit of ``y - 1/2``.  A
-    caller that has solved it passes it as ``step`` (the resample engine does
-    so for a whole chunk); otherwise it comes from :func:`fit_least_squares`,
-    and a design without full column rank there (the test of ``ols_coef``)
-    is a "singular design".  IRLS converges when the largest absolute
-    coefficient change drops below ``IRLS_TOL`` or after ``IRLS_MAX_ITER``
-    steps, the first included.  A coefficient escaping ``SEPARATION_BOUND``
-    during iteration is treated as separation.
+    (:func:`_irls`) starts from zero, where every fitted probability is 1/2,
+    so the first Newton step is 4 times the weighted least-squares fit of
+    ``y - 1/2``.  It comes from :func:`fit_least_squares`, and a design
+    without full column rank there (the test of ``ols_coef``) is a
+    "singular design".
     """
     w = np.ones(y.size) if w is None else w
-    if step is None:
-        step, rank = fit_least_squares(design, y - 0.5, w)
-        if rank < design.shape[1]:
-            return None, "singular design"
-        step = 4.0 * step
-    beta = np.zeros(design.shape[1])
+    step, rank = fit_least_squares(design, y - 0.5, w)
+    if rank < design.shape[1]:
+        return None, "singular design"
+    return _irls(design, y, w[None], np.zeros((1, design.shape[1])), 4.0 * step[None])[0]
+
+
+def _irls(
+    design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray, step: np.ndarray
+) -> list[tuple[np.ndarray | None, str | None]]:
+    """The one IRLS loop, on a stack of members: ``(beta, reason)`` for each.
+
+    Member ``k`` weights the rows by ``w[k]``, starts at ``beta[k]`` and
+    takes ``step[k]`` first.  Each later Newton step is computed per member
+    by the same matrix products and LAPACK solve whatever the stack holds,
+    so a member's bits do not depend on the others.  A member converges when
+    its largest absolute coefficient change drops below ``IRLS_TOL``; it
+    stops after ``IRLS_MAX_ITER`` steps, the first included.  A coefficient
+    escaping ``SEPARATION_BOUND``, or a singular Hessian (the design has full
+    rank, so the fitted probabilities saturated the weights to zero), is
+    separation, and so is a final fit that :func:`_separates` the rows.
+    """
+    fits: list = [None] * w.shape[0]
+    live = np.arange(w.shape[0])
+    singular = np.zeros(live.size, dtype=bool)
     for iteration in range(IRLS_MAX_ITER):
         if iteration:
-            mu = _sigmoid(design @ beta)
-            hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, None])
-            score = design.T @ (w * (y - mu))
-            try:
-                step = np.linalg.solve(hessian, score)
-            except np.linalg.LinAlgError:
-                # The design has full rank, so the fitted probabilities
-                # saturated the weights to zero: separation.
-                return None, "separation"
+            step, singular = _newton_step(design, y, w, beta)
         beta = beta + step
-        if np.max(np.abs(beta)) > SEPARATION_BOUND:
-            return None, "separation"
-        if np.max(np.abs(step)) < IRLS_TOL:
+        separated = singular | (np.abs(beta).max(axis=1) > SEPARATION_BOUND)
+        done = separated | (np.abs(step).max(axis=1) < IRLS_TOL)
+        if iteration == IRLS_MAX_ITER - 1:
+            done[:] = True
+        if not done.any():
+            continue
+        for a in np.flatnonzero(done):
+            flagged = separated[a] or _separates(design, y, w[a], beta[a])
+            fits[live[a]] = (None, "separation") if flagged else (beta[a], None)
+        if done.all():
             break
-    return beta, None
+        live, w, beta = live[~done], w[~done], beta[~done]
+    return fits
+
+
+def _newton_step(design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's Newton step from ``beta[k]``, and whether its Hessian was singular."""
+    mu = _sigmoid(design @ beta[:, :, None])[:, :, 0]
+    hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, :, None])
+    score = design.T @ (w * (y - mu))[:, :, None]
+    singular = np.zeros(w.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(hessian, score)[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        # LAPACK solves each matrix on its own: solving them one at a time
+        # gives the same bits, and finds the singular ones.
+        step = np.zeros(beta.shape)
+        for k in range(w.shape[0]):
+            try:
+                step[k] = np.linalg.solve(hessian[k], score[k])[:, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return step, singular
+
+
+def _separates(design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray) -> bool:
+    """Whether a final fit ``beta`` shows the rows of positive weight ``w`` to be separated.
+
+    Albert and Anderson (Biometrika 1984): the likelihood has no maximum when
+    some direction ``v`` has every margin ``(2y - 1) x·v`` at least 0 and one
+    above 0.  The test allows ``SEPARATION_TOL`` times the largest ``|x·v|``
+    for rounding, so it does not depend on the scale of the features.  Two
+    directions are tried.  ``beta`` itself finds complete separation, where
+    IRLS drives every margin up.  Under quasi-complete separation the rows
+    on the boundary keep margins of both signs while the weights
+    ``μ (1 - μ)`` of all others vanish, so ``v`` is the part of ``beta`` in
+    the directions where the Hessian ``xᵀ W M x`` is below ``SEPARATION_TOL``
+    times ``xᵀ W x`` (``W`` the counts, ``M`` the weights).  It is sought only
+    when some ``|x·beta|`` exceeds ``log(1 / (4 SEPARATION_TOL))``: below
+    that every weight is at least ``SEPARATION_TOL``.  Data that are not
+    separated fail the test unless they lie within the tolerance of
+    separated data; a row with both outcomes has the margins ``±x·v``.
+    """
+    if not w.all():
+        rows = w > 0.0
+        design, y, w = design[rows], y[rows], w[rows]
+    sign = 2.0 * y - 1.0
+    separated, top = _margin_test(sign * (design @ beta))
+    if separated or top <= -math.log(4.0 * SEPARATION_TOL):
+        return separated
+    mu = _sigmoid(design @ beta)
+    try:
+        root = np.linalg.cholesky(design.T @ (design * w[:, None]))
+    except np.linalg.LinAlgError:
+        return False
+    # The eigenvalues of H relative to G = L Lᵀ are those of L⁻¹ H L⁻ᵀ.
+    inverse = np.linalg.inv(root)
+    ratios, vectors = np.linalg.eigh(inverse @ (design.T @ (design * (w * mu * (1.0 - mu))[:, None])) @ inverse.T)
+    null = vectors[:, ratios < SEPARATION_TOL]
+    direction = inverse.T @ (null @ (null.T @ (root.T @ beta)))
+    return null.size > 0 and _margin_test(sign * (design @ direction))[0]
+
+
+def _margin_test(margin: np.ndarray) -> tuple[bool, float]:
+    """The margin test of :func:`_separates`, and the largest ``|margin|``."""
+    low = float(margin.min())
+    top = max(float(margin.max()), -low)
+    return top > 0.0 and low >= -SEPARATION_TOL * top, top
 
 
 def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
@@ -303,14 +394,18 @@ def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateVa
     return EstimateValue(float(np.sum(wxc * yc) / denom))
 
 
-def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray, anchor: np.ndarray | None = None) -> np.ndarray:
     """Per merged row, the statistics whose count-weighted sums give the estimate.
 
     One-hot cells for the log odds ratio; the raw moments x, y, x², y², xy for
-    Pearson; for OLS and logistic the upper triangle of ``x xᵀ`` and then
-    ``x t``, where ``t`` is y for OLS and ``y - 1/2`` for logistic's first
-    Newton step.
+    Pearson; for OLS the upper triangle of ``x xᵀ`` and then ``x y``.  For
+    logistic, the Newton step from ``anchor``, with fitted probabilities
+    ``μ``: the upper triangle of ``x xᵀ`` times ``4 μ (1 - μ)``, and then
+    ``x (y - μ)``.  The factor 4 makes the weights exactly 1 at a zero
+    anchor, where ``μ`` is exactly 1/2, so there the statistics are those of
+    the least-squares fit of ``y - 1/2`` and the step is 4 times its solve.
     """
+    weight = None
     if kind == "log_odds_ratio":
         e, f = X[:, 0], 1.0 - X[:, 0]
         pairs = [(e, y), (e, 1.0 - y), (f, y), (f, 1.0 - y)]
@@ -318,14 +413,19 @@ def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         x, one = X[:, 0], np.ones_like(y)
         pairs = [(x, one), (y, one), (x, x), (y, y), (x, y)]
     else:
-        t = y - 0.5 if kind == "logistic_coef" else y
+        t = y
+        if kind == "logistic_coef":
+            mu = _sigmoid(X @ anchor)
+            t, weight = y - mu, 4.0 * mu * (1.0 - mu)
         p = X.shape[1]
         pairs = [(X[:, i], X[:, j]) for i in range(p) for j in range(i, p)] + [(X[:, i], t) for i in range(p)]
     stats = np.empty((y.size, len(pairs)))
     # A product may overflow; _split_bands and the screens handle infinities.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for c, (a, b) in enumerate(pairs):
             np.multiply(a, b, out=stats[:, c])
+        if weight is not None:
+            stats[:, :-X.shape[1]] *= weight[:, None]
     return stats
 
 
@@ -413,8 +513,10 @@ class Resampler:
     values.  For the other kinds ``X``, ``y`` are the merged rows in key
     order, ``row_id`` maps each sample row to its merged row, and ``bands``
     holds the rows' statistics (:func:`_row_statistics`) split by
-    :func:`_split_bands`.  A plain class: a frozen dataclass would add about
-    1 ms to every import of the package.
+    :func:`_split_bands`.  For logistic, ``anchor`` is the side's own fit
+    (zero when that is degenerate), from which the engine's Newton step is
+    taken.  A plain class: a frozen dataclass would add about 1 ms to every
+    import of the package.
     """
 
     def __init__(
@@ -426,9 +528,10 @@ class Resampler:
         y: np.ndarray | None = None,
         row_id: np.ndarray | None = None,
         bands: list[tuple[np.ndarray | None, np.ndarray]] | None = None,
+        anchor: np.ndarray | None = None,
     ):
         self.spec, self.size, self.values = spec, size, values
-        self.X, self.y, self.row_id, self.bands = X, y, row_id, bands
+        self.X, self.y, self.row_id, self.bands, self.anchor = X, y, row_id, bands, anchor
 
     @property
     def rows(self) -> int:
@@ -468,7 +571,7 @@ class Resampler:
         return self._regression(counts, sums)
 
     def _drawn(self, counts: np.ndarray):
-        drawn = np.flatnonzero(counts)
+        drawn = np.flatnonzero(counts != 0)
         # take() gathers rows several times faster than fancy indexing.
         return self.X.take(drawn, axis=0), self.y.take(drawn), counts.take(drawn)
 
@@ -500,22 +603,43 @@ class Resampler:
         G = np.empty((K, p, p))
         G[:, i, j] = G[:, j, i] = sums[:, :i.size]
         beta, ok = _solve_gram(G, sums[:, i.size:])
-        out = []
-        for k in range(K):
-            if self.spec.kind == "ols_coef" and ok[k]:
-                out.append(EstimateValue(float(beta[k, self.spec.target_index])))
-                continue
-            X, y, w = self._drawn(counts[k])
-            if self.spec.kind == "ols_coef":
-                coef, rank = fit_least_squares(X, y, w)
-                reason = "singular design" if rank < p else None
-            elif np.all(y == y[0]):
-                coef, reason = None, "constant outcome"
-            else:
-                coef, reason = fit_logistic(X, y, w, 4.0 * beta[k] if ok[k] else None)
-            out.append(EstimateValue(float("nan"), reason) if reason is not None
-                       else EstimateValue(float(coef[self.spec.target_index])))
-        return out
+        target = self.spec.target_index
+        if self.spec.kind == "ols_coef":
+            fits = [(beta[k], None) if ok[k] else self._least_squares(counts[k]) for k in range(K)]
+        else:
+            # Binary outcomes: the count of drawn ones is exact.
+            ones = counts @ self.y
+            step = 4.0 * beta  # the engine's step from the anchor
+            stacked = self.rows <= STACK_ROWS
+            fits = []
+            for k in range(K):
+                if ones[k] in (0.0, self.size):
+                    fits.append((None, "constant outcome"))
+                elif not ok[k]:  # fails the screen: the reference fit from zero
+                    fits.append(fit_logistic(*self._drawn(counts[k])))
+                elif stacked:
+                    fits.append(None)  # stepped below, in one stack
+                else:
+                    X, y, w = self._drawn(counts[k])
+                    fits.append(_irls(X, y, w[None], self.anchor[None], step[k:k + 1])[0])
+            members = [k for k, fit in enumerate(fits) if fit is None]
+            if members:
+                starts = np.broadcast_to(self.anchor, (len(members), p))
+                for k, fit in zip(members, _irls(self.X, self.y, counts[members], starts, step[members])):
+                    fits[k] = fit
+            # Newton steps from the anchor may diverge where those from zero
+            # converge, so separation found on the way from the anchor is
+            # checked by the fit from zero, whose verdict stands.
+            for k in np.flatnonzero(ok):
+                if fits[k][1] == "separation":
+                    fits[k] = fit_logistic(*self._drawn(counts[k]))
+        return [EstimateValue(float("nan"), reason) if reason is not None else EstimateValue(float(coef[target]))
+                for coef, reason in fits]
+
+    def _least_squares(self, counts: np.ndarray) -> tuple[np.ndarray | None, str | None]:
+        """The reference least-squares fit on the drawn rows."""
+        coef, rank = fit_least_squares(*self._drawn(counts))
+        return (None, "singular design") if rank < self.X.shape[1] else (coef, None)
 
 
 def _log_odds_ratio(n11: float, n10: float, n01: float, n00: float) -> EstimateValue:
@@ -533,8 +657,9 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "out
     The merge key is y, then the feature columns ``spec`` reads (one for
     Pearson and the log odds ratio, all for OLS and logistic); rows tying on
     it are equal in all an estimate reads.  The merged rows are in key order,
-    and OLS and logistic get their intercept column here.  Mean and quantile
-    keep the sample as it is.
+    and OLS and logistic get their intercept column here.  A logistic side
+    also fits itself once, from zero, for the anchor of the engine's Newton
+    step.  Mean and quantile keep the sample as it is.
     """
     X, y = check_args(spec, features, outcomes, name)
     if spec.kind in OUTCOME_ONLY_KINDS:
@@ -547,8 +672,15 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "out
     y_rows, X_rows = rows[:, 0], rows[:, 1:]
     if spec.kind in ("ols_coef", "logistic_coef") and spec.intercept:
         X_rows = with_intercept(X_rows)
-    bands = _split_bands(_row_statistics(spec.kind, X_rows, y_rows), y.size)
-    return Resampler(spec, y.size, X=X_rows, y=y_rows, row_id=row_id, bands=bands)
+    anchor = None
+    if spec.kind == "logistic_coef":
+        # The side's own fit, or zero where it is degenerate.
+        anchor = np.zeros(X_rows.shape[1])
+        if y_rows[0] != y_rows[-1]:
+            coef, reason = fit_logistic(X_rows, y_rows, np.bincount(row_id).astype(np.float64))
+            anchor = anchor if reason is not None else coef
+    bands = _split_bands(_row_statistics(spec.kind, X_rows, y_rows, anchor), y.size)
+    return Resampler(spec, y.size, X=X_rows, y=y_rows, row_id=row_id, bands=bands, anchor=anchor)
 
 
 def chunk_length(resamplers) -> int:

@@ -140,6 +140,18 @@ class TestInfer:
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"ppboot: error: {empty}: empty file; a header row is required"]
 
+    @pytest.mark.parametrize("where, text", [
+        pytest.param("the header row", "{cell},y,fhat\n1,2,3\n", id="header"),
+        pytest.param("row 2", "x,y,fhat\n1,2,3\n\n{cell},4,5\n", id="second-data-row"),
+    ])
+    def test_cell_over_the_csv_field_limit_exits_3(self, tmp_path, capsys, where, text):
+        big = tmp_path / "big.csv"
+        big.write_text(text.format(cell="1" * 200_000), encoding="utf-8")
+        code, out, err = run_cli(infer_args(**{"--labeled": str(big), "--method": "classical"}), capsys)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"ppboot: error: {big}: cannot read {where}: field larger than field limit")
+
     def test_parse_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y,fhat\n1,oops,3\n2,4,5\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Estimator examples, hand-computed oracles, and invariance properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestLogisticCoef:
     def test_separation_flagged(self):
         est = estimate("logistic_coef", [[-2.0], [-1.0], [1.0], [2.0]], [0.0, 0.0, 1.0, 1.0], target_index=0)
         assert not est.ok and est.reason == "separation"
+
+    @pytest.mark.parametrize("features, outcomes, intercept", [
+        pytest.param([4.0, 10.0, -15.0, -20.0], [1.0, 1.0, 0.0, 0.0], True, id="4-rows"),
+        pytest.param([1.1, -1.8, 3.0, -1.9, 0.8], [0.0, 1.0, 0.0, 1.0, 0.0], True, id="5-rows"),
+        pytest.param([-20.0, -10.0, 10.0, 20.0, 5.0, -5.0], [0.0, 0.0, 1.0, 1.0, 1.0, 0.0], False,
+                     id="6-rows-through-the-origin"),
+    ])
+    def test_separation_flagged_in_every_row_order(self, features, outcomes, intercept):
+        # Each once gave a clean coefficient (5.85, -42.0 and 19.73).
+        X, y = np.array(features)[:, None], np.array(outcomes)
+        for order in itertools.permutations(range(y.size)):
+            order = list(order)
+            est = estimate("logistic_coef", X[order], y[order], target_index=0, intercept=intercept)
+            assert est.reason == "separation"
 
     def test_collinear_design_flagged(self):
         est = estimate("logistic_coef", [[1.0], [1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0],

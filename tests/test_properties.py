@@ -6,9 +6,11 @@ for bit, except that merged weighted rows are compared with the same
 estimators on the unmerged rows at 1e-12, the chunked engine with the
 reference formulas at 1e-12 (the log odds ratio's table bit for bit), and
 that affine maps of the data, which change the rounding, are checked to a
-relative 1e-9 (the quantile's order statistic still bit for bit).  kNN
-predictions, whose distances are summed plane by plane, are compared bit for
-bit with the full distance tensor.
+relative 1e-9 (the quantile's order statistic still bit for bit).  A logistic
+resample starts its Newton steps from its side's own fit, so its estimate and
+a fresh side's (or IRLS from zero) agree with the same reason and to
+``LOGISTIC_TOL``.  kNN predictions, whose distances are summed plane by plane,
+are compared bit for bit with the full distance tensor.
 """
 
 import math
@@ -61,6 +63,10 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 # them: the estimates are cheap, and many small samples are degenerate.
 MERGED_KINDS = tuple(k for k in ESTIMAND_KINDS if k not in OUTCOME_ONLY_KINDS)
 MERGE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=200)
+# Two logistic fits of one sample from different starts: each stops once its
+# Newton step is below IRLS_TOL (1e-8), after which Newton's quadratic
+# convergence leaves them within rounding of the maximum and of each other.
+LOGISTIC_TOL = 1e-10
 
 
 def bits(value: float) -> bytes:
@@ -74,6 +80,11 @@ def same_estimate(a, b) -> bool:
 def close_estimate(a, b, tol: float = 1e-12) -> bool:
     both_nan = math.isnan(a.value) and math.isnan(b.value)
     return a.reason == b.reason and (both_nan or abs(a.value - b.value) <= tol)
+
+
+def same_resample_estimate(spec, a, b) -> bool:
+    """Two estimates of one resample: bit for bit, or for logistic (whose start depends on the side) to ``LOGISTIC_TOL``."""
+    return close_estimate(a, b, LOGISTIC_TOL) if spec.kind == "logistic_coef" else same_estimate(a, b)
 
 
 @st.composite
@@ -176,7 +187,7 @@ def test_canonical_gather_equals_evaluate_on_the_resample(problem, data):
         m = y.size
         for _ in range(4):
             idx = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), dtype=np.intp)
-            assert same_estimate(estimate(idx), evaluate(spec, X[idx], y[idx]))
+            assert same_resample_estimate(spec, estimate(idx), evaluate(spec, X[idx], y[idx]))
 
 
 def unmerged_estimate(spec, X, y) -> EstimateValue:
@@ -251,10 +262,11 @@ def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
             li = draw_labeled_indices(labeled.n, stream.child(PHASE_MAIN, b, r))
             est = evaluate(spec, labeled.features[li], labeled.outcomes[li])
             if est.ok:
-                expected.append(bits(est.value))
+                expected.append(est)
                 break
     values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, spec, 0.0), 0.0, B, stream, RETRIES)
-    assert [bits(v) for v in values] == expected
+    assert len(values) == len(expected)
+    assert all(same_resample_estimate(spec, EstimateValue(v), e) for v, e in zip(values, expected))
     assert dropped == B - len(expected)
 
     cfg = BootstrapConfig(B=B, lambda_mode="fixed", lambda_value=0.0, max_degenerate_retries=RETRIES)
@@ -368,7 +380,7 @@ def draws_of(data, m: int, count: int) -> list[np.ndarray]:
 
 
 def reference_estimate(spec, X, y) -> EstimateValue:
-    """The reference formulas on one resample: fit_least_squares, the centred two-pass Pearson, the 2x2 table.
+    """The reference formulas on one resample: fit_least_squares, IRLS from zero, the centred two-pass Pearson, the 2x2 table.
 
     The rows are merged into counts as the engine merges them, so a resample
     the engine screens out must match bit for bit.
@@ -381,6 +393,11 @@ def reference_estimate(spec, X, y) -> EstimateValue:
     if spec.kind == "pearson_corr":
         return _pearson_two_pass(X_rows[:, 0], y_rows, w)
     design = with_intercept(X_rows) if spec.intercept else X_rows
+    if spec.kind == "logistic_coef":
+        if y_rows[0] == y_rows[-1]:
+            return EstimateValue(math.nan, "constant outcome")
+        beta, reason = fit_logistic(design, y_rows, w)
+        return EstimateValue(math.nan, reason) if reason else EstimateValue(float(beta[spec.target_index]))
     beta, rank = fit_least_squares(design, y_rows, w)
     if rank < design.shape[1]:
         return EstimateValue(math.nan, "singular design")
@@ -404,7 +421,7 @@ def test_engine_estimate_is_the_same_alone_and_anywhere_in_a_chunk(problem, data
 
 
 @MERGE_SETTINGS
-@given(engine_problems(kinds=("ols_coef", "pearson_corr", "log_odds_ratio")), st.data())
+@given(engine_problems(), st.data())
 def test_engine_agrees_with_the_reference_formulas(problem, data):
     spec, X, y = problem
     resampler = canonical_resampler(spec, X, y)
@@ -414,7 +431,7 @@ def test_engine_agrees_with_the_reference_formulas(problem, data):
         if spec.kind == "log_odds_ratio":
             assert same_estimate(estimate, expected)
         else:
-            assert close_estimate(estimate, expected)
+            assert close_estimate(estimate, expected, LOGISTIC_TOL if spec.kind == "logistic_coef" else 1e-12)
 
 
 @st.composite
@@ -523,6 +540,145 @@ class TestEngineFallback:
     def test_logistic_singular_design_takes_the_reference_rank(self, monkeypatch):
         X = np.column_stack([self.X[:, 0], self.X[:, 0]])
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        resampler = canonical_resampler(EstimandSpec("logistic_coef"), X, y)
+        assert resampler.anchor.tobytes() == np.zeros(3).tobytes()  # its own fit is singular
         calls = counted(monkeypatch, "fit_least_squares")
-        assert evaluate(EstimandSpec("logistic_coef"), X, y).reason == "singular design"
+        assert resampler(np.arange(y.size)).reason == "singular design"
         assert len(calls) == 1
+
+
+def newton_member_steps(monkeypatch) -> list:
+    """Record the number of members of each stacked Newton step."""
+    sizes, original = [], estimators._newton_step
+
+    def wrapper(design, y, w, beta):
+        sizes.append(beta.shape[0])
+        return original(design, y, w, beta)
+
+    monkeypatch.setattr(estimators, "_newton_step", wrapper)
+    return sizes
+
+
+class TestLogisticStack:
+    """A small logistic side takes a chunk's later Newton steps as one stack, each member on its own."""
+
+    rows = 40
+    g = np.random.default_rng(7)
+    # The second feature is nonzero on rows 0 and 1 only, so a resample
+    # without them has a zero column and falls back to the reference.
+    X = np.column_stack([g.standard_normal(rows), (np.arange(rows) < 2).astype(float)])
+    y = (g.random(rows) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+    y[:2] = [0.0, 1.0]
+    draws = [
+        np.arange(rows),  # the side itself: its first step from the anchor converges
+        np.concatenate([[0, 1], g.integers(0, rows, rows - 2)]),
+        np.concatenate([[0, 1], g.integers(0, rows, rows - 2)]),
+        g.integers(2, rows, rows),  # misses rows 0 and 1
+    ]
+
+    def test_members_stop_apart_and_one_falls_back(self, monkeypatch):
+        resampler = canonical_resampler(EstimandSpec("logistic_coef"), self.X, self.y)
+        assert resampler.rows <= estimators.STACK_ROWS
+        sizes = newton_member_steps(monkeypatch)
+        calls = counted(monkeypatch, "fit_least_squares")
+        estimates = resampler.estimates(self.draws, len(self.draws))
+        # Three members stack.  The side itself stops at its first step, so
+        # the later steps start with two members; the fallback is singular
+        # and takes none.
+        assert sizes[0] == 2 and sorted(sizes, reverse=True) == sizes
+        assert len(calls) == 1
+        assert [e.reason for e in estimates] == [None, None, None, "singular design"]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)])
+    def test_estimate_is_the_same_alone_and_anywhere_in_a_chunk(self, order):
+        resampler = canonical_resampler(EstimandSpec("logistic_coef"), self.X, self.y)
+        alone = [resampler(idx) for idx in self.draws]
+        draws = [self.draws[k] for k in order]
+        for length in (2, 3, 4):
+            chunks = [draws[start:start + length] for start in range(0, len(draws), length)]
+            chunked = [e for chunk in chunks for e in resampler.estimates(chunk, len(chunk))]
+            assert all(same_estimate(alone[k], e) for k, e in zip(order, chunked, strict=True))
+
+
+def test_a_zero_anchor_gives_the_least_squares_statistics_bit_for_bit():
+    # Where a side's own fit is degenerate the engine's step is 4 times the
+    # least-squares solve of y - 1/2, as from zero.
+    g = np.random.default_rng(5)
+    X = with_intercept(g.standard_normal((50, 2)) * np.array([1.0, 1e3]))
+    y = (g.random(50) < 0.5).astype(float)
+    stats = estimators._row_statistics("logistic_coef", X, y, np.zeros(3))
+    i, j = np.triu_indices(3)
+    expected = np.column_stack([X[:, i] * X[:, j], X * (y - 0.5)[:, None]])
+    assert stats.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [200, 2 * estimators.STACK_ROWS])
+def test_anchored_newton_steps_are_fewer_than_from_zero(monkeypatch, rows):
+    # A well-posed side, stacked (200 rows) or fitted per resample.
+    g = np.random.default_rng(3)
+    X = g.standard_normal((rows, 3))
+    y = (g.random(rows) < 1.0 / (1.0 + np.exp(-(X @ np.array([0.8, -0.5, 0.3]) - 0.2)))).astype(float)
+    spec = EstimandSpec("logistic_coef")
+    resampler = canonical_resampler(spec, X, y)
+    draws = [g.integers(0, rows, rows) for _ in range(20)]
+    sizes = newton_member_steps(monkeypatch)
+    anchored = resampler.estimates(draws, len(draws))
+    anchored_steps, sizes[:] = sum(sizes), []
+    for idx, estimate in zip(draws, anchored, strict=True):
+        assert close_estimate(estimate, reference_estimate(spec, X[idx], y[idx]), LOGISTIC_TOL)
+    # The reference fit starts from zero; the first step of each is free.
+    assert anchored_steps < sum(sizes)
+
+
+@st.composite
+def separated_designs(draw):
+    """``(spec, X, y)``: integer rows on both sides of an integer hyperplane, so the data are separated.
+
+    The outcome is 1 on the positive side.  Rows on the hyperplane are
+    dropped (complete separation) or kept with outcomes of either kind
+    (quasi-complete separation).  The features are then scaled.
+    """
+    d = draw(st.integers(1, 2))
+    intercept = draw(st.booleans())
+    normal = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)))
+    offset = draw(st.integers(-3, 3)) if intercept else 0
+    X = np.array(draw(st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d), min_size=4, max_size=30)),
+                 dtype=np.float64)
+    margin = X @ normal + offset
+    y = (margin > 0).astype(np.float64)
+    on = margin == 0
+    if draw(st.booleans()):
+        X, y = X[~on], y[~on]
+    else:
+        y[on] = draw(st.lists(st.sampled_from(BINARY), min_size=int(on.sum()), max_size=int(on.sum())))
+    spec = EstimandSpec("logistic_coef", target_index=draw(st.integers(0, d - 1)), intercept=intercept)
+    return spec, X * draw(st.sampled_from((1.0, 10.0, 1000.0))), y
+
+
+@st.composite
+def overlapping_designs(draw):
+    """``(spec, X, y)``: every distinct feature row carries both outcomes, so the data are not separated."""
+    d = draw(st.integers(1, 2))
+    spec = EstimandSpec("logistic_coef", target_index=draw(st.integers(0, d - 1)), intercept=draw(st.booleans()))
+    distinct = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=8, unique=True))
+    counts = draw(st.lists(st.integers(1, 3), min_size=2 * len(distinct), max_size=2 * len(distinct)))
+    rows = np.repeat([r + (v,) for r in distinct for v in BINARY], counts, axis=0).astype(np.float64)
+    return spec, rows[:, :d] * draw(st.sampled_from((1.0, 10.0, 1000.0))), rows[:, d]
+
+
+@MERGE_SETTINGS
+@given(separated_designs())
+def test_separated_designs_never_give_a_clean_coefficient(problem):
+    spec, X, y = problem
+    if y.size < X.shape[1] + spec.intercept or np.all(y == y[0]):
+        return
+    assert evaluate(spec, X, y).reason in ("separation", "singular design")
+
+
+@MERGE_SETTINGS
+@given(overlapping_designs())
+def test_designs_with_both_outcomes_on_every_row_never_read_separation(problem):
+    spec, X, y = problem
+    if y.size < X.shape[1] + spec.intercept:
+        return
+    assert evaluate(spec, X, y).reason in (None, "singular design")
