@@ -36,6 +36,7 @@ in the same loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -95,6 +96,8 @@ class BootstrapConfig:
             raise ValueError(f"alpha must lie strictly inside (0, 1): got {self.alpha}")
         if self.lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
+        if not math.isfinite(self.lambda_value):
+            raise ValueError(f"lambda_value must be finite, got {self.lambda_value}")
         if self.tuning_B is not None and not (2 <= self.tuning_B <= MAX_B):
             raise ValueError(f"tuning_B must be in [2, {MAX_B}], got {self.tuning_B}")
         if self.max_degenerate_retries < 0:

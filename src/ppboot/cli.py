@@ -1,7 +1,8 @@
 """Command-line front end: single-shot inference and coverage studies.
 
 Exit codes: 0 success, 2 argument errors, 3 data errors, 4 estimation
-failures (degenerate estimates, bootstrap/tuning/training/study failures).
+failures (degenerate estimates, bootstrap/tuning/training/study failures,
+running out of memory).
 Every failure prints exactly one diagnostic line to stderr; results go to
 stdout (infer) or to files under ``--out`` (study), written only on success.
 """
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ppboot: error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("ppboot: error: out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -104,7 +104,8 @@ def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: 
     """Read a headered CSV, in one pass, into (features, outcomes, predictions) arrays.
 
     Row order is preserved and blank lines are skipped.  ``outcomes``/``predictions``
-    are ``None`` when the corresponding role is not requested.
+    are ``None`` when the corresponding role is not requested.  A column the
+    schema names must appear once in the header; other columns may repeat.
     """
     outcome_col, prediction_col, feature_cols = _check_schema(
         schema, need_outcome=need_outcome, need_prediction=need_prediction
@@ -126,6 +127,8 @@ def read_table(path: str, schema: dict, *, need_outcome: bool, need_prediction: 
             for name in wanted:
                 if name not in positions:
                     raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
+                if header.count(name) > 1:
+                    raise SchemaError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
             cols = [positions[name] for name in wanted]
             for i, row in enumerate(filter(None, reader), 1):
                 if len(row) != len(header):

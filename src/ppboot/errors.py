@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the config-section check."""
 
 import json
+import math
 
 NUMBER = (int, float)
 
@@ -35,8 +36,9 @@ def check_config(raw: dict, types: dict[str, tuple[type, ...] | list[type]], sec
     ``types`` maps every allowed key to the accepted value types; a list of
     types instead means a list or tuple whose entries have one of them.
     ``bool`` passes only where listed, although Python counts it as an
-    ``int``.  The ``ValueError`` names the section and the key, and shows the
-    value in JSON spelling.
+    ``int``, and a number must be finite (JSON files may spell ``NaN`` and
+    ``Infinity``).  The ``ValueError`` names the section and the key, and
+    shows the value in JSON spelling.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{section} config must be an object, got {json.dumps(raw, default=repr)}")
@@ -52,3 +54,5 @@ def check_config(raw: dict, types: dict[str, tuple[type, ...] | list[type]], sec
             if not isinstance(item, kinds) or (isinstance(item, bool) and bool not in kinds):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
                 raise ValueError(f"{section} config {what} must be {names}, got {json.dumps(item, default=repr)}")
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ValueError(f"{section} config {what} must be finite, got {json.dumps(item)}")

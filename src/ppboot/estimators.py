@@ -27,13 +27,14 @@ batched solve, and a screen sends an ill-conditioned one to the reference
 formula alone: a Gram matrix whose scaled condition fails
 (:func:`_solve_gram`) to :func:`fit_least_squares` (for logistic, to
 :func:`fit_logistic` from zero, which also has the last word on separation
-found on the way from the anchor), a Pearson moment that cancels to the
-centred two-pass formula.  So every degeneracy reason comes from the
-reference rule.  Logistic's later Newton steps run in :func:`_irls`, the one
-IRLS loop: on a side of at most ``STACK_ROWS`` merged rows as one stack over
-the chunk's resamples, on the merged rows, and on a larger side per
-resample, on its drawn rows.  Each member stops on its own, so either way a
-resample's bits depend on its counts alone.
+found from the anchor), a Pearson moment that cancels to the centred
+two-pass formula.  So every degeneracy reason comes from the reference rule.
+Logistic's Newton steps run in :func:`_irls`, the one IRLS loop, whose one
+separation rule reads no coefficient's size: on a side of at most
+``STACK_ROWS`` merged rows as one stack over the chunk's resamples, on the
+merged rows, and on a larger side per resample, on its drawn rows.  Each
+member stops on its own, so either way a resample's bits depend on its
+counts alone.
 
 Mean and quantile stay on the drawn values: the mean's bits are those of the
 sorted sum, which a weighted sum would not reproduce.  Conditions that make
@@ -44,6 +45,7 @@ bootstrap loops can redraw.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -88,7 +90,6 @@ IRLS_TOL = 1e-8
 # side takes them per resample, on the drawn rows.
 STACK_ROWS = 512
 IRLS_MAX_ITER = 100
-SEPARATION_BOUND = 50.0
 # The relative tolerance of the separation test (_separates).
 SEPARATION_TOL = 1e-10
 
@@ -270,27 +271,24 @@ def _irls(
     by the same matrix products and LAPACK solve whatever the stack holds,
     so a member's bits do not depend on the others.  A member converges when
     its largest absolute coefficient change drops below ``IRLS_TOL``; it
-    stops after ``IRLS_MAX_ITER`` steps, the first included.  A coefficient
-    escaping ``SEPARATION_BOUND``, or a singular Hessian (the design has full
-    rank, so the fitted probabilities saturated the weights to zero), is
-    separation, and so is a final fit that :func:`_separates` the rows.
+    stops after ``IRLS_MAX_ITER`` steps, the first included.  It ends in
+    separation when :func:`_newton_step` says so, or as soon as its
+    coefficients stop being finite, before they enter a product.
     """
     fits: list = [None] * w.shape[0]
-    live = np.arange(w.shape[0])
-    singular = np.zeros(live.size, dtype=bool)
+    live, separated = np.arange(w.shape[0]), np.zeros(w.shape[0], dtype=bool)
     for iteration in range(IRLS_MAX_ITER):
         if iteration:
-            step, singular = _newton_step(design, y, w, beta)
+            step, separated = _newton_step(design, y, w, beta)
         beta = beta + step
-        separated = singular | (np.abs(beta).max(axis=1) > SEPARATION_BOUND)
+        separated |= ~np.isfinite(beta).all(axis=1)
         done = separated | (np.abs(step).max(axis=1) < IRLS_TOL)
         if iteration == IRLS_MAX_ITER - 1:
             done[:] = True
         if not done.any():
             continue
         for a in np.flatnonzero(done):
-            flagged = separated[a] or _separates(design, y, w[a], beta[a])
-            fits[live[a]] = (None, "separation") if flagged else (beta[a], None)
+            fits[live[a]] = (None, "separation") if separated[a] else (beta[a], None)
         if done.all():
             break
         live, w, beta = live[~done], w[~done], beta[~done]
@@ -298,13 +296,21 @@ def _irls(
 
 
 def _newton_step(design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's Newton step from ``beta[k]``, and whether its Hessian was singular."""
-    mu = _sigmoid(design @ beta[:, :, None])[:, :, 0]
+    """Each member's Newton step from ``beta[k]``, and whether the member ends there in separation.
+
+    It does when its Hessian is singular (the design has full rank, so the
+    fitted probabilities saturated the weights to zero), or when
+    :func:`_separates` says so, which is asked only where a margin on a row
+    of positive weight exceeds ``log(1 / (4 SEPARATION_TOL))`` in size:
+    below that every weight ``μ (1 - μ)`` is at least ``SEPARATION_TOL``.
+    """
+    eta = (design @ beta[:, :, None])[:, :, 0]
+    mu = _sigmoid(eta)
     hessian = design.T @ (design * (w * mu * (1.0 - mu))[:, :, None])
     score = design.T @ (w * (y - mu))[:, :, None]
-    singular = np.zeros(w.shape[0], dtype=bool)
+    separated = np.zeros(w.shape[0], dtype=bool)
     try:
-        return np.linalg.solve(hessian, score)[:, :, 0], singular
+        step = np.linalg.solve(hessian, score)[:, :, 0]
     except np.linalg.LinAlgError:
         # LAPACK solves each matrix on its own: solving them one at a time
         # gives the same bits, and finds the singular ones.
@@ -313,53 +319,51 @@ def _newton_step(design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndar
             try:
                 step[k] = np.linalg.solve(hessian[k], score[k])[:, 0]
             except np.linalg.LinAlgError:
-                singular[k] = True
-        return step, singular
+                separated[k] = True
+    limit = -math.log(4.0 * SEPARATION_TOL)
+    if np.abs(eta).max() > limit:  # every row first, in one cheap reduction
+        tried = np.max(np.abs(eta), axis=1, where=w > 0.0, initial=0.0) > limit
+        separated |= tried & _separates(design, y, w, beta, eta, hessian)
+    return step, separated
 
 
-def _separates(design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray) -> bool:
-    """Whether a final fit ``beta`` shows the rows of positive weight ``w`` to be separated.
+def _separates(
+    design: np.ndarray, y: np.ndarray, w: np.ndarray, beta: np.ndarray, eta: np.ndarray, hessian: np.ndarray
+) -> np.ndarray:
+    """Whether ``beta[k]`` shows the rows of positive weight ``w[k]`` to be separated, for each ``k``.
 
     Albert and Anderson (Biometrika 1984): the likelihood has no maximum when
     some direction ``v`` has every margin ``(2y - 1) x·v`` at least 0 and one
-    above 0.  The test allows ``SEPARATION_TOL`` times the largest ``|x·v|``
-    for rounding, so it does not depend on the scale of the features.  Two
-    directions are tried.  ``beta`` itself finds complete separation, where
-    IRLS drives every margin up.  Under quasi-complete separation the rows
-    on the boundary keep margins of both signs while the weights
-    ``μ (1 - μ)`` of all others vanish, so ``v`` is the part of ``beta`` in
-    the directions where the Hessian ``xᵀ W M x`` is below ``SEPARATION_TOL``
-    times ``xᵀ W x`` (``W`` the counts, ``M`` the weights).  It is sought only
-    when some ``|x·beta|`` exceeds ``log(1 / (4 SEPARATION_TOL))``: below
-    that every weight is at least ``SEPARATION_TOL``.  Data that are not
-    separated fail the test unless they lie within the tolerance of
-    separated data; a row with both outcomes has the margins ``±x·v``.
+    above 0, here up to ``SEPARATION_TOL`` times the largest, rounding room
+    free of the features' scale (a row with both outcomes has the margins
+    ``±x·v``).  ``beta`` itself finds complete separation, where IRLS drives
+    every margin up.  Under quasi-complete separation the weights
+    ``μ (1 - μ)`` vanish but on the boundary rows, which keep margins of both
+    signs, so ``v`` is the part of ``beta`` along which the Hessian
+    ``H = xᵀ W M x`` is below ``SEPARATION_TOL`` times ``G = xᵀ W x`` (``W``
+    the counts).  There is none where ``H - SEPARATION_TOL G`` is positive
+    definite, as one factorization of the stack usually shows.
     """
-    if not w.all():
-        rows = w > 0.0
-        design, y, w = design[rows], y[rows], w[rows]
-    sign = 2.0 * y - 1.0
-    separated, top = _margin_test(sign * (design @ beta))
-    if separated or top <= -math.log(4.0 * SEPARATION_TOL):
-        return separated
-    mu = _sigmoid(design @ beta)
+    # A row of zero weight gets the sign 0, and so a margin that decides nothing.
+    sign = np.where(w > 0.0, 2.0 * y - 1.0, 0.0)
+    margin = sign * eta
+    gram = design.T @ (design * w[:, :, None])
     try:
-        root = np.linalg.cholesky(design.T @ (design * w[:, None]))
+        np.linalg.cholesky(hessian - SEPARATION_TOL * gram)
     except np.linalg.LinAlgError:
-        return False
-    # The eigenvalues of H relative to G = L Lᵀ are those of L⁻¹ H L⁻ᵀ.
-    inverse = np.linalg.inv(root)
-    ratios, vectors = np.linalg.eigh(inverse @ (design.T @ (design * (w * mu * (1.0 - mu))[:, None])) @ inverse.T)
-    null = vectors[:, ratios < SEPARATION_TOL]
-    direction = inverse.T @ (null @ (null.T @ (root.T @ beta)))
-    return null.size > 0 and _margin_test(sign * (design @ direction))[0]
-
-
-def _margin_test(margin: np.ndarray) -> tuple[bool, float]:
-    """The margin test of :func:`_separates`, and the largest ``|margin|``."""
-    low = float(margin.min())
-    top = max(float(margin.max()), -low)
-    return top > 0.0 and low >= -SEPARATION_TOL * top, top
+        if w.shape[0] > 1:  # each half again, down to the members that fail alone
+            halves = (slice(None, w.shape[0] // 2), slice(w.shape[0] // 2, None))
+            return np.concatenate([_separates(design, y, w[h], beta[h], eta[h], hessian[h]) for h in halves])
+        with contextlib.suppress(np.linalg.LinAlgError):  # where G is not positive definite, no direction
+            root = np.linalg.cholesky(gram[0])
+            # The eigenvalues of H relative to G = L Lᵀ are those of L⁻¹ H L⁻ᵀ.
+            inverse = np.linalg.inv(root)
+            ratios, vectors = np.linalg.eigh(inverse @ hessian[0] @ inverse.T)
+            null = vectors[:, ratios < SEPARATION_TOL]
+            direction = inverse.T @ (null @ (null.T @ (root.T @ beta[0])))
+            margin = np.stack([margin, sign * (design @ direction)])
+    top = margin.max(axis=-1)
+    return ((top > 0.0) & (margin.min(axis=-1) >= -SEPARATION_TOL * top)).reshape(-1, w.shape[0]).any(axis=0)
 
 
 def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
@@ -615,24 +619,20 @@ class Resampler:
             for k in range(K):
                 if ones[k] in (0.0, self.size):
                     fits.append((None, "constant outcome"))
-                elif not ok[k]:  # fails the screen: the reference fit from zero
-                    fits.append(fit_logistic(*self._drawn(counts[k])))
-                elif stacked:
-                    fits.append(None)  # stepped below, in one stack
-                else:
+                elif ok[k] and not stacked:
                     X, y, w = self._drawn(counts[k])
                     fits.append(_irls(X, y, w[None], self.anchor[None], step[k:k + 1])[0])
-            members = [k for k, fit in enumerate(fits) if fit is None]
+                else:
+                    fits.append(None)  # stepped below in one stack, or failed the screen
+            members = [k for k, fit in enumerate(fits) if fit is None and ok[k]]
             if members:
                 starts = np.broadcast_to(self.anchor, (len(members), p))
                 for k, fit in zip(members, _irls(self.X, self.y, counts[members], starts, step[members])):
                     fits[k] = fit
-            # Newton steps from the anchor may diverge where those from zero
-            # converge, so separation found on the way from the anchor is
-            # checked by the fit from zero, whose verdict stands.
-            for k in np.flatnonzero(ok):
-                if fits[k][1] == "separation":
-                    fits[k] = fit_logistic(*self._drawn(counts[k]))
+            # The reference fit from zero, whose verdict stands, for a resample that fails the
+            # screen or whose steps from the anchor (which may diverge) end in separation.
+            fits = [fit_logistic(*self._drawn(counts[k])) if fit is None or fit[1] == "separation" else fit
+                    for k, fit in enumerate(fits)]
         return [EstimateValue(float("nan"), reason) if reason is not None else EstimateValue(float(coef[target]))
                 for coef, reason in fits]
 

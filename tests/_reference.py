@@ -182,7 +182,8 @@ def read_table(path: str, feature_cols: list[str], outcome_col: str | None, pred
     It holds every non-blank row as strings, checks every row's length, then
     parses the wanted columns one by one (features, outcome, prediction) and
     reports the first bad cell of the first bad column.  A role given as
-    ``None`` is not read and comes back as ``None``.
+    ``None`` is not read and comes back as ``None``.  A column it reads must
+    appear once in the header.
     """
     def parse_column(rows, col, name):
         cells = [row[col] for row in rows]
@@ -211,6 +212,8 @@ def read_table(path: str, feature_cols: list[str], outcome_col: str | None, pred
     for name in list(feature_cols) + roles:
         if name not in positions:
             raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")

@@ -91,6 +91,21 @@ class TestInfer:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"ppboot: error: B must be in [2, {MAX_B}], got {10**15}"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_2(self, capsys, value):
+        # "--lambda=-inf", since argparse reads a separate "-inf" as an option.
+        code, out, err = run_cli([*infer_args(), f"--lambda={value}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ppboot: error: lambda_value must be finite, got {float(value)}"]
+
+    def test_out_of_memory_exits_4(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("ppboot.cli.ppboot_interval", exhausted)
+        code, out, err = run_cli(infer_args(), capsys)
+        assert (code, out, err) == (4, "", "ppboot: error: out of memory\n")
+
     def test_defaults_seed_zero_with_warning(self, capsys):
         code, out, err = run_cli(infer_args(**{"--seed": None}), capsys)
         assert code == 0
@@ -151,6 +166,48 @@ class TestInfer:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"ppboot: error: {big}: cannot read {where}: field larger than field limit")
+
+    @pytest.mark.parametrize("extra", ["x", "z,z"], ids=["wanted-column", "unwanted-column"])
+    def test_duplicate_column_names(self, tmp_path, capsys, extra):
+        # Only a column the schema names must be unique: reading either copy
+        # of it would be a guess.
+        with open(LABELED, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        path = tmp_path / "labeled.csv"
+        path.write_text("\n".join([f"{lines[0]},{extra}"] + [f"{line},{extra.replace('x', '0').replace('z', '0')}"
+                                                                for line in lines[1:]]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(infer_args(**{"--labeled": str(path)}), capsys)
+        if extra == "x":
+            assert (code, out) == (3, "")
+            assert err.splitlines() == [f"ppboot: error: {path}: column 'x' appears 2 times in the header"]
+        else:
+            assert (code, out) == run_cli(infer_args(), capsys)[:2]
+
+    def test_logistic_on_small_feature_units(self, tmp_path, capsys):
+        # Features in units 100 times too large give coefficients near 80 and
+        # -50.  A bound of 50 on |beta| once read every resample as separation.
+        g = np.random.default_rng(3)
+        X = g.standard_normal((2200, 3))
+        p = 1.0 / (1.0 + np.exp(-(X @ np.array([0.8, -0.5, 0.3]) - 0.2)))
+        y = (g.random(2200) < p).astype(float)
+        fhat = np.where(g.random(2200) < 0.9, y, (g.random(2200) < p).astype(float))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"outcome": "y", "prediction": "fhat", "features": ["x1", "x2", "x3"]}))
+        outputs = []
+        for scale in (1.0, 0.01):
+            labeled, unlabeled = tmp_path / f"l{scale}.csv", tmp_path / f"u{scale}.csv"
+            table = np.column_stack([X * scale, y, fhat])
+            np.savetxt(labeled, table[:200], fmt="%.17g", delimiter=",", header="x1,x2,x3,y,fhat", comments="")
+            np.savetxt(unlabeled, table[200:][:, [0, 1, 2, 4]], fmt="%.17g", delimiter=",", header="x1,x2,x3,fhat",
+                       comments="")
+            code, out, err = run_cli(infer_args(**{"--labeled": labeled, "--unlabeled": unlabeled, "--schema": schema,
+                                                   "--estimand": "logistic_coef", "--target-index": "0"}), capsys)
+            assert (code, err) == (0, "")
+            outputs.append(json.loads(out))
+        plain, small = outputs
+        assert small["degenerate_iterations"] == plain["degenerate_iterations"] == 0
+        for key in ("lower", "upper", "point"):
+            assert small[key] * 0.01 == pytest.approx(plain[key], rel=1e-9)
 
     def test_parse_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -345,6 +402,16 @@ class TestStudy:
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": "10000"}}},
                      "'total_rows'", id="string-total-rows"),
         pytest.param({"n_grid": [50.9]}, "'n_grid'", id="float-n"),
+        # JSON files may spell NaN and Infinity; no number key takes them.
+        pytest.param({"bootstrap": {"B": 150, "lambda_mode": "fixed", "lambda_value": float("nan")}},
+                     "key 'lambda_value' must be finite, got NaN", id="nan-lambda"),
+        pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": [1.0],
+                                             "noise_sd": float("nan")}}},
+                     "key 'noise_sd' must be finite, got NaN", id="nan-noise-sd"),
+        pytest.param({"data": {"synthetic": {"dgp": "gaussian_linear", "total_rows": 400, "coef": [float("inf")]}}},
+                     "key 'coef' entries must be finite, got Infinity", id="infinite-coef"),
+        pytest.param({"estimand": {"kind": "quantile", "q": float("-inf")}},
+                     "key 'q' must be finite, got -Infinity", id="negative-infinite-q"),
         pytest.param({"n_grid": ["50"]}, "'n_grid'", id="string-n"),
         pytest.param({"n_grid": [True]}, "'n_grid'", id="bool-n"),
         pytest.param({"methods": ["ppboot", 1]}, "'methods'", id="int-method"),

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ppboot import EstimandSpec, evaluate
+from ppboot import EstimandSpec, estimators, evaluate
 from ppboot.estimators import _sigmoid, canonical_resampler
 from _reference import grid_logistic_slope
 
@@ -143,6 +144,48 @@ class TestLogisticCoef:
             order = list(order)
             est = estimate("logistic_coef", X[order], y[order], target_index=0, intercept=intercept)
             assert est.reason == "separation"
+
+    @pytest.mark.parametrize("exponent", range(-6, 7))
+    def test_verdict_does_not_depend_on_the_feature_scale(self, exponent):
+        # Both outcomes on every distinct row, so the maximum-likelihood
+        # estimate exists at every scale.  A bound of 50 on |beta| once read
+        # "separation" here from s = 1e-3 down (slope 293).
+        X = np.array([-2.0, -2.0, -2.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 2.0])[:, None]
+        y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        s = 10.0 ** exponent
+        est = estimate("logistic_coef", X * s, y, target_index=0)
+        assert est.ok
+        assert est.value * s == pytest.approx(estimate("logistic_coef", X, y, target_index=0).value, rel=1e-9)
+
+    def test_diverging_newton_steps_end_in_separation_without_a_warning(self, monkeypatch):
+        # The engine's Newton steps from this side's own fit take one resample
+        # to a non-finite step.  The member stops before its margins are
+        # formed, which would be inf - inf; the fit from zero then finds the
+        # separation.  RuntimeWarnings are errors here.
+        X = np.array([
+            [0.10447909337723406, -0.039474234915218696], [0.043475688607875464, -0.09353707404902639],
+            [0.37601748565939386, 0.057342591784606815], [0.07577795333776566, 0.03314525118898239],
+            [-0.11035300905762165, -0.15667185527578092], [-0.23328310549195186, -0.05217081459119992],
+            [0.2801519597178312, 0.14067234519112937], [-0.3689274882138992, 0.16539936606417055],
+            [0.53876320625, -0.051095244914610295], [0.10295174992390495, 0.08336117843804407],
+            [0.16810728163021763, -0.10837281269665146], [-0.059409410462199115, 0.033492293897095966],
+        ])
+        y = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        resampler = canonical_resampler(EstimandSpec("logistic_coef", intercept=False), X, y)
+        steps = []
+        newton_step = estimators._newton_step
+
+        def recorded(*args):
+            step, separated = newton_step(*args)
+            steps.append(step)
+            return step, separated
+
+        monkeypatch.setattr(estimators, "_newton_step", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = resampler(np.array([0, 0, 2, 5, 6, 7, 7, 8, 9, 11, 11, 11]))
+        assert est.reason == "separation"
+        assert not all(np.isfinite(step).all() for step in steps)
 
     def test_collinear_design_flagged(self):
         est = estimate("logistic_coef", [[1.0], [1.0], [1.0], [1.0]], [0.0, 1.0, 0.0, 1.0],

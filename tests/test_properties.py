@@ -630,6 +630,12 @@ def test_anchored_newton_steps_are_fewer_than_from_zero(monkeypatch, rows):
     assert anchored_steps < sum(sizes)
 
 
+# Feature scales of the separation properties.  No verdict reads the size of
+# the coefficients, so small features, whose coefficients are large, are
+# judged as unit ones are.
+FEATURE_SCALES = (1e-4, 1e-2, 1.0, 10.0, 1000.0)
+
+
 @st.composite
 def separated_designs(draw):
     """``(spec, X, y)``: integer rows on both sides of an integer hyperplane, so the data are separated.
@@ -652,7 +658,7 @@ def separated_designs(draw):
     else:
         y[on] = draw(st.lists(st.sampled_from(BINARY), min_size=int(on.sum()), max_size=int(on.sum())))
     spec = EstimandSpec("logistic_coef", target_index=draw(st.integers(0, d - 1)), intercept=intercept)
-    return spec, X * draw(st.sampled_from((1.0, 10.0, 1000.0))), y
+    return spec, X * draw(st.sampled_from(FEATURE_SCALES)), y
 
 
 @st.composite
@@ -663,7 +669,7 @@ def overlapping_designs(draw):
     distinct = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=1, max_size=8, unique=True))
     counts = draw(st.lists(st.integers(1, 3), min_size=2 * len(distinct), max_size=2 * len(distinct)))
     rows = np.repeat([r + (v,) for r in distinct for v in BINARY], counts, axis=0).astype(np.float64)
-    return spec, rows[:, :d] * draw(st.sampled_from((1.0, 10.0, 1000.0))), rows[:, d]
+    return spec, rows[:, :d] * draw(st.sampled_from(FEATURE_SCALES)), rows[:, d]
 
 
 @MERGE_SETTINGS
@@ -682,3 +688,34 @@ def test_designs_with_both_outcomes_on_every_row_never_read_separation(problem):
     if y.size < X.shape[1] + spec.intercept:
         return
     assert evaluate(spec, X, y).reason in (None, "singular design")
+
+
+@st.composite
+def logistic_sides(draw):
+    """``(spec, X, y, draws)``: a small side from a logistic model, and 15 resamples of it."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, d = draw(st.integers(8, 40)), draw(st.integers(1, 2))
+    X = g.standard_normal((rows, d))
+    y = (g.random(rows) < 1.0 / (1.0 + np.exp(-(X @ g.normal(0.0, 2.0, d))))).astype(np.float64)
+    y[:2] = BINARY  # both outcomes
+    spec = EstimandSpec("logistic_coef", target_index=draw(st.integers(0, d - 1)), intercept=draw(st.booleans()))
+    return spec, X, y, [g.integers(0, rows, rows) for _ in range(15)]
+
+
+@PROPERTY_SETTINGS
+@given(logistic_sides(), st.data())
+def test_a_power_of_two_feature_scale_keeps_every_engine_resample(side, data):
+    # Scaling column j by 2**k is exact and scales its coefficient by 2**-k,
+    # so every reason must stay.  The value must follow to within rounding
+    # where k <= 0.  Where k > 0 the coefficient shrinks and IRLS, which
+    # stops on an absolute step size (IRLS_TOL), stops it early: it drifts by
+    # up to about 1e-4 relative at k = 20.
+    spec, X, y, draws = side
+    j, k = data.draw(st.integers(0, X.shape[1] - 1)), data.draw(st.integers(-20, 20))
+    scaled = X.copy()
+    scaled[:, j] *= 2.0 ** k
+    factor = 2.0 ** k if j == spec.target_index else 1.0
+    plain = canonical_resampler(spec, X, y).estimates(draws, len(draws))
+    for a, b in zip(plain, canonical_resampler(spec, scaled, y).estimates(draws, len(draws)), strict=True):
+        assert a.reason == b.reason
+        assert a.reason is not None or k > 0 or b.value * factor == pytest.approx(a.value, rel=1e-10)
