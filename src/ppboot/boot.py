@@ -26,11 +26,15 @@ Main, classical and tuning draws all come from one loop,
 :func:`resample_estimates`, with one body for one side or three: an
 attempt's labeled indices are drawn once and shared by the labeled sides,
 and its unlabeled indices are drawn only when the unlabeled side reads
-them.  It draws a chunk of iterations at a time,
-sized so that the largest side's count matrix stays within
-``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations at 9800 merged
-rows), has each side estimate the whole chunk in one reduction, and redraws
-only the degenerate members.  Mean and quantile evaluate each drawn sample
+them.  Attempt ``r`` of main iteration ``b`` draws on the stream
+``(..., PHASE_MAIN, b, r)`` and tuning resample ``b`` on
+``(..., PHASE_TUNING, b)``; the loop keys these streams in bulk
+(:func:`resampling.philox_keys`) and resets one generator of its own to
+each, so it draws what :meth:`RngStream.generator` would.  It draws a
+chunk of iterations at a time, sized so that the largest side's count
+matrix stays within ``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations
+at 9800 merged rows), has each side estimate the whole chunk in one
+reduction, and redraws only the degenerate members.  Mean and quantile evaluate each drawn sample
 in the same loop.
 """
 
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -49,9 +52,9 @@ from .resampling import (
     PHASE_MAIN,
     PHASE_TUNING,
     RngStream,
-    draw_labeled_indices,
-    draw_unlabeled_indices,
+    draw_keyed_indices,
     empirical_quantile,
+    philox_keys,
 )
 
 LAMBDA_MODES = ("off", "fixed", "tuned")
@@ -63,6 +66,11 @@ TUNING_DENOM_FLOOR = 1e-15
 # front: 24 MB at this cap and three sides, while B = 10**15 would ask for 24 PB
 # and fail in that allocation.  The largest B this project runs is 1000.
 MAX_B = 10**6
+
+# The most iterations whose first attempts' stream keys are derived together:
+# enough to spread the hash's numpy calls thin (about 0.2 us a key at 1000),
+# few enough that its temporaries stay small at MAX_B.
+KEY_BLOCK = 4096
 
 # An interval's sides in order; argument checks and point-estimate failures name them.
 SIDE_NAMES = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
@@ -156,27 +164,44 @@ def interval_resamplers(
     return tuple(canonical_resampler(spec, X, y, name) for name, (X, y) in zip(SIDE_NAMES, data))
 
 
+def _attempt_keys(stream: RngStream, iterations, r: int | None) -> list:
+    """``(labeled key, unlabeled key)`` of attempt ``r`` of each iteration, as Python ints.
+
+    Attempt ``r`` of iteration ``b`` draws on ``stream.child(b, r)``, the
+    single attempt of a loop without retries (``r`` None) on ``stream.child(b)``.
+    """
+    b = np.asarray(iterations)[:, None]
+    tails = b if r is None else np.column_stack([b, np.full_like(b, r)])
+    return list(zip(*(keys.tolist() for keys in philox_keys(stream, tails))))
+
+
 def resample_estimates(
     sides: tuple[Resampler, ...],
     B: int,
-    substream: Callable[[int, int], RngStream],
-    max_degenerate_retries: int,
+    stream: RngStream,
+    max_degenerate_retries: int | None,
 ) -> tuple[np.ndarray, int]:
     """The bootstrap loop shared by every resampling method.
 
-    Iteration ``b``, attempt ``r`` resamples on ``substream(b, r)``.  Its
-    labeled indices (:func:`draw_labeled_indices`) are drawn once and shared
-    by the first one or two sides (the labeled outcomes, then the labeled
-    predictions); a third side (the unlabeled predictions) reads the
-    unlabeled indices (:func:`draw_unlabeled_indices`) as they are drawn.
-    One side is the classical bootstrap, on the same labeled indices.  An
-    attempt with any degenerate estimate is redrawn up to
-    ``max_degenerate_retries`` times, then the iteration is dropped.
+    Iteration ``b``, attempt ``r`` resamples on ``stream.child(b, r)``; with
+    ``max_degenerate_retries`` None (tuning's layout), iteration ``b`` makes
+    one attempt, on ``stream.child(b)``.  Its labeled indices are drawn once
+    and shared by the first one or two sides (the labeled outcomes, then the
+    labeled predictions); a third side (the unlabeled predictions) reads the
+    unlabeled indices as they are drawn.  These are the indices
+    :func:`draw_labeled_indices` and :func:`draw_unlabeled_indices` draw on
+    the attempt's stream.  One side is the classical bootstrap, on the same
+    labeled indices.  An attempt with any degenerate estimate is redrawn up
+    to ``max_degenerate_retries`` times, then the iteration is dropped.
 
     Iterations run in chunks of :func:`estimators.chunk_length`: each side
     estimates a chunk's attempts together, and only the degenerate members
     are redrawn, at ``(b, r + 1)``.  Every attempt is a pure function of its
     stream, so this draws and keeps exactly what one attempt at a time would.
+    The streams' Philox keys come from :func:`philox_keys`, for the first
+    attempts of up to ``KEY_BLOCK`` iterations at once and for a chunk's
+    redrawn members together, and every draw resets this call's own
+    generator to its key (:func:`draw_keyed_indices`).
 
     Returns ``(rows, dropped)``: one row per retained iteration, in iteration
     order, holding one estimate per side, and the number of dropped
@@ -185,14 +210,23 @@ def resample_estimates(
     n = sides[0].size
     rows = np.empty((B, len(sides)))
     kept = np.zeros(B, dtype=bool)
-    chunk = chunk_length(sides)
+    chunk = min(chunk_length(sides), KEY_BLOCK)
+    # A key block holds whole chunks.
+    block = chunk * (KEY_BLOCK // chunk)
+    attempts = 1 if max_degenerate_retries is None else max_degenerate_retries + 1
+    generator = np.random.Generator(np.random.Philox(0))
     for start in range(0, B, chunk):
+        if start % block == 0:
+            first = _attempt_keys(stream, range(start, min(start + block, B)),
+                                  None if max_degenerate_retries is None else 0)
         pending = range(start, min(start + chunk, B))
-        for r in range(max_degenerate_retries + 1):
-            streams = [substream(b, r) for b in pending]
-            labeled = [draw_labeled_indices(n, s) for s in streams]
-            ests = [side.estimates(labeled, len(streams)) for side in sides[:2]]
-            ests += [side.estimates((draw_unlabeled_indices(side.size, s) for s in streams), len(streams))
+        keys = first[start % block:][:len(pending)]
+        for r in range(attempts):
+            if r:
+                keys = _attempt_keys(stream, pending, r)
+            labeled = [draw_keyed_indices(generator, key, n) for key, _ in keys]
+            ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
+            ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
                      for side in sides[2:]]
             retry = []
             for k, b in enumerate(pending):
@@ -233,7 +267,7 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     """
     if tuning_B < 2:
         raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
-    rows, _ = resample_estimates(sides, tuning_B, lambda b, r: stream.child(b), 0)
+    rows, _ = resample_estimates(sides, tuning_B, stream, None)
     m = rows.shape[0]
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
@@ -256,8 +290,7 @@ def ppboot_draws(
     resampled: this is the classical labeled bootstrap.
     """
     rows, dropped = resample_estimates(
-        sides[:1] if lam == 0.0 else sides, B,
-        lambda b, r: stream.child(PHASE_MAIN, b, r), max_degenerate_retries,
+        sides[:1] if lam == 0.0 else sides, B, stream.child(PHASE_MAIN), max_degenerate_retries
     )
     return _combine(rows.T.copy(), lam), dropped
 

@@ -195,7 +195,7 @@ class TestDegenerateHandling:
             def estimates(self, draws, count):
                 return [estimators.EstimateValue(math.inf if k % 2 else math.nan) for k, _ in enumerate(draws)]
 
-        rows, dropped = resample_estimates((NonFinite(),), 6, lambda b, r: stream.child(b, r), 2)
+        rows, dropped = resample_estimates((NonFinite(),), 6, stream, 2)
         assert rows.shape == (0, 1) and dropped == 6
 
     def test_pearson_interval_at_1e160_is_finite(self, stream):
@@ -248,19 +248,17 @@ class TestArgumentChecks:
         pytest.param(EstimandSpec("ols_coef", target_index=1), [0.0, 0.5, 1.0, 1.0], [0.0, 1.0, 1.0],
                      r"target_index 1 outside \[0, 1\)", id="target-index"),
     ])
-    def test_loop_raises_before_the_first_draw(self, spec, labeled_preds, unlabeled_preds, message):
+    def test_loop_raises_before_the_first_draw(self, monkeypatch, spec, labeled_preds, unlabeled_preds, message):
         labeled = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 0.0, 1.0], labeled_preds)
         unlabeled = UnlabeledDataset([[0.0], [1.0], [2.0]], unlabeled_preds)
         drawn = []
-
-        def substream(b, r):
-            drawn.append((b, r))
-            return RngStream(0, (b, r))
-
+        keys, draw, generator = boot.philox_keys, boot.draw_keyed_indices, RngStream.generator
+        monkeypatch.setattr(boot, "philox_keys", lambda *args: drawn.append("keys") or keys(*args))
+        monkeypatch.setattr(boot, "draw_keyed_indices", lambda *args: drawn.append("draw") or draw(*args))
+        monkeypatch.setattr(RngStream, "generator", lambda self: drawn.append("generator") or generator(self))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            resample_estimates(interval_resamplers(labeled, unlabeled, spec), 10, substream, 2)
+            ppboot_interval(labeled, unlabeled, spec, BootstrapConfig(B=10, max_degenerate_retries=2), RngStream(0))
         assert drawn == []
-
 
     @pytest.mark.parametrize("labeled_features, unlabeled_features, side", [
         pytest.param([[0.0], [1.0], [0.5], [1.0]], [[0.0], [1.0], [1.0]], "labeled features", id="labeled"),
@@ -293,9 +291,9 @@ class TestOneMergePerSide:
             retained.append(values.size + dropped)
             check(values, dropped)
 
-        def counting_tune(sides, tuning_B, substream):
+        def counting_tune(sides, tuning_B, stream):
             tuned.append(tuning_B)
-            return tune(sides, tuning_B, substream)
+            return tune(sides, tuning_B, stream)
 
         def counting_point(sides, lam):
             points.append(len(sides))
@@ -319,22 +317,82 @@ class TestOneMergePerSide:
 class TestOneDrawPerSide:
     """Each attempt draws its labeled indices once, whatever the number of labeled sides."""
 
-    @pytest.mark.parametrize("lam, per_iteration", [(1.0, 2), (0.0, 1)], ids=["three-sides", "one-side"])
-    def test_generator_calls_per_iteration(self, monkeypatch, stream, lam, per_iteration):
+    @pytest.mark.parametrize("lam, sizes", [(1.0, [15, 40]), (0.0, [15])], ids=["three-sides", "one-side"])
+    def test_draws_per_iteration(self, monkeypatch, stream, lam, sizes):
         labeled, unlabeled = make_pair(n=15, N=40, seed=6)
-        calls = []
-        generator = RngStream.generator
+        draws, generators = [], []
+        draw, generator = boot.draw_keyed_indices, RngStream.generator
+
+        def counting_draw(gen, key, size):
+            draws.append(size)
+            return draw(gen, key, size)
 
         def counting_generator(self):
-            calls.append(self.path)
+            generators.append(self.path)
             return generator(self)
 
+        monkeypatch.setattr(boot, "draw_keyed_indices", counting_draw)
         monkeypatch.setattr(RngStream, "generator", counting_generator)
         B = 60
-        # The mean never degenerates, so every iteration makes one attempt.
+        # The mean never degenerates, so every iteration makes one attempt:
+        # one labeled draw, and one unlabeled draw on three sides.
         values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN, lam), lam, B, stream)
         assert (values.size, dropped) == (B, 0)
-        assert len(calls) == per_iteration * B
+        assert sorted(draws) == sorted(sizes * B)
+        assert generators == []
+
+
+class TestKeyedLoop:
+    """The loop keys its streams in blocks, with a generator of its own."""
+
+    @pytest.mark.parametrize("key_block, chunk_bytes", [(1, None), (3, None), (7, 16), (7, 48)])
+    @pytest.mark.parametrize("spec, n, N", [
+        (EstimandSpec("log_odds_ratio", exposure_column=0), 8, 20),
+        (EstimandSpec("ols_coef"), 12, 30),
+        (MEAN, 12, 30),
+    ], ids=["log-odds-ratio", "ols", "mean"])
+    def test_block_edges_keep_every_draw(self, monkeypatch, stream, key_block, chunk_bytes, spec, n, N):
+        g = np.random.default_rng(31)
+        binary = spec.kind == "log_odds_ratio"
+        features = [(g.random((m, 1)) < 0.5).astype(float) if binary else g.standard_normal((m, 1)) for m in (n, N)]
+        outcomes = [(g.random(m) < 0.5).astype(float) if binary else g.standard_normal(m) for m in (n, n, N)]
+        labeled = LabeledDataset(features[0], outcomes[0], outcomes[1])
+        unlabeled = UnlabeledDataset(features[1], outcomes[2])
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        whole = ppboot_draws(sides, 1.0, 40, stream, 3)
+        tuned = tune_lambda(sides, 40, stream.child(PHASE_TUNING))
+        monkeypatch.setattr(boot, "KEY_BLOCK", key_block)
+        if chunk_bytes is not None:
+            # Chunks of two and of six iterations, under a KEY_BLOCK of seven.
+            monkeypatch.setattr(estimators, "CHUNK_BYTES", chunk_bytes * max(side.rows for side in sides))
+        blocked = ppboot_draws(sides, 1.0, 40, stream, 3)
+        assert blocked[1] == whole[1]
+        assert blocked[0].tobytes() == whole[0].tobytes()
+        assert tune_lambda(sides, 40, stream.child(PHASE_TUNING)) == tuned
+
+    def test_first_attempt_keys_come_in_bounded_blocks(self, monkeypatch, stream):
+        labeled, unlabeled = make_pair(n=5, N=9, seed=8)
+        rows = []
+        keys = boot.philox_keys
+
+        def recording_keys(base, tails):
+            rows.append(len(tails))
+            return keys(base, tails)
+
+        monkeypatch.setattr(boot, "philox_keys", recording_keys)
+        monkeypatch.setattr(boot, "KEY_BLOCK", 64)
+        ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, 300, stream)
+        assert rows == [64, 64, 64, 64, 44]
+
+    def test_threads_give_the_sequential_intervals(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        problems = [(*make_pair(n=20, N=60, seed=s), RngStream(s, (1,))) for s in (9, 10)]
+        cfg = BootstrapConfig(B=150, lambda_mode="tuned")
+        sequential = [ppboot_interval(labeled, unlabeled, MEAN, cfg, base) for labeled, unlabeled, base in problems]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda p: ppboot_interval(p[0], p[1], MEAN, cfg, p[2]), problems))
+        assert threaded == sequential
 
 
 class TestTuneLambda:

@@ -47,7 +47,7 @@ from ppboot.estimators import (
     fit_logistic,
     with_intercept,
 )
-from ppboot.resampling import PHASE_MAIN, draw_labeled_indices
+from ppboot.resampling import PHASE_MAIN, UNLABELED_TAG, draw_keyed_indices, draw_labeled_indices, philox_keys
 
 VALUES = (-1.5, 0.0, 0.5, 1.0, 2.25)
 BINARY = (0.0, 1.0)
@@ -487,6 +487,43 @@ def test_plane_sum_is_bitwise_numpy_sum(d, seed):
     terms = g.standard_normal((3, 4, d)) * np.exp2(g.integers(-30, 30, (3, 4, d)))
     total = crossfit._pairwise_planes(lambda j: terms[..., j].copy(), 0, d)
     assert total.tobytes() == np.sum(terms, axis=2).tobytes()
+
+
+@st.composite
+def key_paths(draw):
+    """A master seed, a shared path prefix and the rows of path tails after it, 1 to 6 components in all."""
+    seed = draw(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from((0, 2**32 - 1, 2**63, 2**64 - 1))))
+    component = st.integers(0, 2**32 - 1)
+    prefix = draw(st.lists(component, max_size=5))
+    width = draw(st.integers(1, 6 - len(prefix)))
+    tails = draw(st.lists(st.lists(component, min_size=width, max_size=width), min_size=1, max_size=8))
+    return RngStream(seed, tuple(prefix)), np.array(tails, dtype=np.uint64)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(key_paths())
+def test_philox_keys_are_the_seed_sequence_keys(problem):
+    # Computed here through numpy itself: a numpy whose SeedSequence hashes
+    # otherwise fails this property.
+    stream, tails = problem
+    keys, unlabeled_keys = philox_keys(stream, tails)
+    for tail, key, unlabeled_key in zip(tails.tolist(), keys, unlabeled_keys):
+        path = stream.path + tuple(tail)
+        assert key.dtype == unlabeled_key.dtype == np.uint64
+        for spawn_key, got in ((path, key), (path + (UNLABELED_TAG,), unlabeled_key)):
+            expected = np.random.SeedSequence(stream.master_seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+            assert got.tolist() == expected.tolist()
+
+
+def test_keyed_draws_are_the_stream_draws_past_32_bit_components():
+    N = 9800
+    generator = np.random.Generator(np.random.Philox(0))
+    for stream, tail in ((RngStream(3, (2**32, PHASE_MAIN)), (5, 1)), (RngStream(2**63 + 1, (7,)), (2**40, 0))):
+        keys, unlabeled_keys = philox_keys(stream, np.array([tail], dtype=np.uint64))
+        child = stream.child(*tail)
+        assert np.array_equal(draw_keyed_indices(generator, keys[0].tolist(), N), child.generator().integers(0, N, N))
+        assert np.array_equal(draw_keyed_indices(generator, unlabeled_keys[0].tolist(), N),
+                              child.child(UNLABELED_TAG).generator().integers(0, N, N))
 
 
 def counted(monkeypatch, name: str) -> list:

@@ -5,7 +5,14 @@ import pytest
 
 from ppboot import EstimateValue, RngStream, empirical_quantile
 from ppboot.boot import resample_estimates
-from ppboot.resampling import draw_labeled_indices, draw_unlabeled_indices, nearest_rank_index
+from ppboot.resampling import (
+    PHASE_MAIN,
+    draw_keyed_indices,
+    draw_labeled_indices,
+    draw_unlabeled_indices,
+    nearest_rank_index,
+    philox_keys,
+)
 
 
 class TestRngStream:
@@ -51,8 +58,19 @@ class _Recorder:
 
 def _loop_draws(sizes):
     sides = tuple(_Recorder(size) for size in sizes)
-    resample_estimates(sides, 5, lambda b, r: RngStream(9, (4, 2, b, r)), 0)
+    resample_estimates(sides, 5, RngStream(9, (4, 2)), 0)
     return [side.seen for side in sides]
+
+
+class _Fingerprint:
+    """A stand-in side whose estimate fingerprints its drawn indices, degenerate when the first is even."""
+
+    def __init__(self, size):
+        self.size = self.rows = size
+
+    def estimates(self, draws, count):
+        return [EstimateValue(float(idx @ np.arange(1, idx.size + 1)), None if idx[0] % 2 else "even")
+                for idx in draws]
 
 
 class TestDrawResample:
@@ -100,6 +118,36 @@ class TestDrawResample:
         a = _loop_draws((5, 5, 30))
         b = _loop_draws((17, 17, 30))
         assert a[2] == b[2]
+
+    @pytest.mark.parametrize("base", [RngStream(9, (4,)), RngStream(2**64 - 1, (2**40, 3))], ids=["narrow", "wide"])
+    def test_loop_draws_each_attempt_on_its_stream(self, base):
+        # Iteration b, attempt r reads the labeled and unlabeled indices drawn
+        # on base.child(PHASE_MAIN, b, r), redrawn where the attempt degenerates.
+        sides = (_Fingerprint(8), _Fingerprint(8), _Fingerprint(30))
+        B, retries = 30, 2
+        expected = []
+        for b in range(B):
+            for r in range(retries + 1):
+                attempt = base.child(PHASE_MAIN, b, r)
+                labeled_idx = draw_labeled_indices(8, attempt)
+                ests = sides[0].estimates([labeled_idx, labeled_idx, draw_unlabeled_indices(30, attempt)], 3)
+                if all(e.ok for e in ests):
+                    expected.append([e.value for e in ests])
+                    break
+        rows, dropped = resample_estimates(sides, B, base.child(PHASE_MAIN), retries)
+        assert 0 < dropped < B
+        assert rows.tolist() == expected and dropped == B - len(expected)
+
+    def test_wide_component_draws_as_its_generator(self):
+        # A component of 2**32 or more spans two SeedSequence words; its keys
+        # come from SeedSequence itself.
+        base = RngStream(7, (2**32,))
+        keys, unlabeled_keys = philox_keys(base, np.array([[3, 0], [3, 2**33]]))
+        generator = np.random.Generator(np.random.Philox(0))
+        for key, ukey, tail in zip(keys.tolist(), unlabeled_keys.tolist(), [(3, 0), (3, 2**33)]):
+            stream = base.child(*tail)
+            assert np.array_equal(draw_keyed_indices(generator, key, 50), stream.generator().integers(0, 50, 50))
+            assert np.array_equal(draw_keyed_indices(generator, ukey, 50), draw_unlabeled_indices(50, stream))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
