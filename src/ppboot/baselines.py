@@ -46,7 +46,10 @@ def classical_bootstrap_interval(
 
     This is the prediction-powered interval with the multiplier fixed at 0
     and no unlabeled data, so given the same base ``stream`` the two share
-    their main-phase substreams and are identical at multiplier 0.
+    their main-phase substreams and are identical at multiplier 0.  Its
+    values are also the first side of the prediction-powered main loop on
+    those streams (``boot.resample_estimates``), so a study cell takes them
+    from that one loop instead of calling this.
     """
     return ppboot_interval(labeled, None, spec, replace(cfg, lambda_mode="fixed", lambda_value=0.0), stream)
 

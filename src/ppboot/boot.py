@@ -26,7 +26,10 @@ Main, classical and tuning draws all come from one loop,
 :func:`resample_estimates`, with one body for one side or three: an
 attempt's labeled indices are drawn once and shared by the labeled sides,
 and its unlabeled indices are drawn only when the unlabeled side reads
-them.  Attempt ``r`` of main iteration ``b`` draws on the stream
+them.  The loop also returns the classical bootstrap's values on the same
+streams, so a study cell runs it once for ``ppboot``, ``ppboot-tuned`` and
+``classical`` and hands each its values with :func:`loop_values`.  Attempt
+``r`` of main iteration ``b`` draws on the stream
 ``(..., PHASE_MAIN, b, r)`` and tuning resample ``b`` on
 ``(..., PHASE_TUNING, b)``; the loop keys these streams in bulk
 (:func:`resampling.philox_keys`) and resets one generator of its own to
@@ -203,13 +206,18 @@ def resample_estimates(
     redrawn members together, and every draw resets this call's own
     generator to its key (:func:`draw_keyed_indices`).
 
-    Returns ``(rows, dropped)``: one row per retained iteration, in iteration
-    order, holding one estimate per side, and the number of dropped
-    iterations.
+    Returns ``(rows, dropped, classical)``: one row per retained iteration, in
+    iteration order, holding one estimate per side; the number of dropped
+    iterations; and, in iteration order, the first side's estimate at each
+    iteration's first attempt where that side alone is not degenerate.  That
+    is what the classical loop on these streams keeps: it draws the same
+    labeled indices and redraws only where the first side degenerates, and
+    a dropped iteration here has made every attempt.
     """
     n = sides[0].size
     rows = np.empty((B, len(sides)))
     kept = np.zeros(B, dtype=bool)
+    first_ok: list[float | None] = [None] * B
     chunk = min(chunk_length(sides), KEY_BLOCK)
     # A key block holds whole chunks.
     block = chunk * (KEY_BLOCK // chunk)
@@ -230,6 +238,8 @@ def resample_estimates(
                      for side in sides[2:]]
             retry = []
             for k, b in enumerate(pending):
+                if first_ok[b] is None and ests[0][k].ok:
+                    first_ok[b] = ests[0][k].value
                 if all(e[k].ok for e in ests):
                     rows[b] = [e[k].value for e in ests]
                     kept[b] = True
@@ -238,7 +248,8 @@ def resample_estimates(
             pending = retry
             if not pending:
                 break
-    return rows[kept], B - int(np.count_nonzero(kept))
+    classical = np.array([v for v in first_ok if v is not None], dtype=np.float64)
+    return rows[kept], B - int(np.count_nonzero(kept)), classical
 
 
 def _combine(estimates, lam: float):
@@ -267,7 +278,7 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     """
     if tuning_B < 2:
         raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
-    rows, _ = resample_estimates(sides, tuning_B, stream, None)
+    rows, _, _ = resample_estimates(sides, tuning_B, stream, None)
     m = rows.shape[0]
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
@@ -289,9 +300,20 @@ def ppboot_draws(
     With ``lam == 0`` only the labeled outcomes (the first side) are
     resampled: this is the classical labeled bootstrap.
     """
-    rows, dropped = resample_estimates(
-        sides[:1] if lam == 0.0 else sides, B, stream.child(PHASE_MAIN), max_degenerate_retries
-    )
+    loop = resample_estimates(sides[:1] if lam == 0.0 else sides, B, stream.child(PHASE_MAIN), max_degenerate_retries)
+    return loop_values(loop, lam)
+
+
+def loop_values(loop: tuple[np.ndarray, int, np.ndarray], lam: float) -> tuple[np.ndarray, int]:
+    """The retained combined values and the dropped count of multiplier ``lam`` from one main loop.
+
+    ``loop`` is what :func:`resample_estimates` returned on the interval's
+    main streams.  At ``lam == 0`` these are the classical bootstrap's,
+    whichever sides the loop ran.
+    """
+    rows, dropped, classical = loop
+    if lam == 0.0:
+        return classical, rows.shape[0] + dropped - classical.size
     return _combine(rows.T.copy(), lam), dropped
 
 
@@ -333,6 +355,26 @@ def percentile_interval(
     )
 
 
+def _clipped(cfg: BootstrapConfig, lam: float) -> float:
+    return min(max(lam, 0.0), 1.0) if cfg.clip_lambda else lam
+
+
+def fixed_lambda(cfg: BootstrapConfig) -> float | None:
+    """The multiplier ``cfg`` fixes, clipped where it asks; ``None`` when it is tuned.
+
+    A fixed multiplier is clipped before the sides are built: one clipped
+    to 0 needs no unlabeled data.
+    """
+    if cfg.lambda_mode == "tuned":
+        return None
+    return _clipped(cfg, 1.0 if cfg.lambda_mode == "off" else float(cfg.lambda_value))
+
+
+def tuned_lambda(sides: tuple[Resampler, ...], cfg: BootstrapConfig, stream: RngStream) -> float:
+    """:func:`tune_lambda` on the tuning streams under the base ``stream``, clipped where ``cfg`` asks."""
+    return _clipped(cfg, tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING)))
+
+
 def ppboot_interval(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset | None,
@@ -349,17 +391,9 @@ def ppboot_interval(
     the classical bootstrap.  Each side is checked and merged once, and
     tuning, the main loop and the point estimate share the result.
     """
-    if cfg.lambda_mode == "tuned":
-        sides = interval_resamplers(labeled, unlabeled, spec)
-        lam = tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING))
-    else:
-        lam = 1.0 if cfg.lambda_mode == "off" else float(cfg.lambda_value)
-    # A fixed multiplier is clipped before its sides are built: one clipped to 0
-    # needs no unlabeled data.
-    if cfg.clip_lambda:
-        lam = min(max(lam, 0.0), 1.0)
-    if cfg.lambda_mode != "tuned":
-        sides = interval_resamplers(labeled, unlabeled, spec, lam)
+    fixed = fixed_lambda(cfg)
+    sides = interval_resamplers(labeled, unlabeled, spec, 1.0 if fixed is None else fixed)
+    lam = tuned_lambda(sides, cfg, stream) if fixed is None else fixed
     values, dropped = ppboot_draws(sides, lam, cfg.B, stream, cfg.max_degenerate_retries)
     # A bootstrap failure takes precedence over a degenerate point estimate.
     require_retained(values, dropped)

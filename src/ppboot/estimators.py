@@ -37,7 +37,11 @@ member stops on its own, so either way a resample's bits depend on its
 counts alone.
 
 Mean and quantile stay on the drawn values: the mean's bits are those of the
-sorted sum, which a weighted sum would not reproduce.  Conditions that make
+sorted sum, which a weighted sum would not reproduce.  A mean side whose
+values are integers, and whose size times largest magnitude is at most
+``2**53``, has every partial sum of a resample exact, so it sums the drawn
+values unsorted and gets the same bits; each side is tested once, when it
+is merged (:func:`_sums_exactly`).  Conditions that make
 the target ill-defined on a sample (singular design, separation, constant
 variables) are reported through the degenerate flag rather than raised, so
 bootstrap loops can redraw.
@@ -375,6 +379,19 @@ def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
     return EstimateValue(float(np.partition(y, k)[k]))
 
 
+def _sums_exactly(values: np.ndarray) -> bool:
+    """Whether every sum of ``values.size`` draws from ``values`` is exact in any order.
+
+    It is when the values are integers and ``size * max|v| <= 2**53``: then
+    every partial sum is an integer of at most that magnitude, which a double
+    holds exactly.  The product is taken in Python integers, so it is exact too.
+    """
+    if not np.all(values == np.trunc(values)):  # NaN and inf fail here or at the bound
+        return False
+    top = float(np.max(np.abs(values)))
+    return math.isfinite(top) and values.size * int(top) <= 2**53
+
+
 def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateValue:
     """Weighted Pearson correlation, centred first: the reference the raw-moment path is screened against."""
     # Exact tests, since a constant column whose mean is inexact has a
@@ -514,7 +531,8 @@ class Resampler:
     Built by :func:`canonical_resampler`.  :meth:`estimates` gives the
     estimate on each of a chunk of resamples.  For mean and quantile
     ``values`` holds the sample and each draw is estimated on its own drawn
-    values.  For the other kinds ``X``, ``y`` are the merged rows in key
+    values; ``exact_sum`` marks a mean side that sums its draws unsorted
+    (:func:`_sums_exactly`).  For the other kinds ``X``, ``y`` are the merged rows in key
     order, ``row_id`` maps each sample row to its merged row, and ``bands``
     holds the rows' statistics (:func:`_row_statistics`) split by
     :func:`_split_bands`.  For logistic, ``anchor`` is the side's own fit
@@ -533,8 +551,9 @@ class Resampler:
         row_id: np.ndarray | None = None,
         bands: list[tuple[np.ndarray | None, np.ndarray]] | None = None,
         anchor: np.ndarray | None = None,
+        exact_sum: bool = False,
     ):
-        self.spec, self.size, self.values = spec, size, values
+        self.spec, self.size, self.values, self.exact_sum = spec, size, values, exact_sum
         self.X, self.y, self.row_id, self.bands, self.anchor = X, y, row_id, bands, anchor
 
     @property
@@ -557,6 +576,8 @@ class Resampler:
         counts alone.
         """
         spec = self.spec
+        if self.exact_sum:  # the sorted sum's bits, without the sort
+            return [EstimateValue(float(self.values.take(idx).sum()) / self.size) for idx in draws]
         if self.values is not None:
             return [_outcome_kernel(spec, self.values[idx]) for idx in draws]
         counts = np.empty((count, self.rows))
@@ -659,11 +680,13 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "out
     it are equal in all an estimate reads.  The merged rows are in key order,
     and OLS and logistic get their intercept column here.  A logistic side
     also fits itself once, from zero, for the anchor of the engine's Newton
-    step.  Mean and quantile keep the sample as it is.
+    step.  Mean and quantile keep the sample as it is, and a mean side
+    learns here whether it sums exactly unsorted.
     """
     X, y = check_args(spec, features, outcomes, name)
     if spec.kind in OUTCOME_ONLY_KINDS:
-        return Resampler(spec, y.size, values=y + 0.0)
+        values = y + 0.0
+        return Resampler(spec, y.size, values=values, exact_sum=spec.kind == "mean" and _sums_exactly(values))
     columns = {"pearson_corr": [spec.feature_column],
                "log_odds_ratio": [spec.exposure_column]}.get(spec.kind, range(X.shape[1]))
     # Adding 0.0 turns -0.0 into 0.0: signed zeros tie in the key but differ

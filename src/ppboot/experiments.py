@@ -6,7 +6,8 @@ against the estimand's value on the whole dataset.  All randomness is derived
 from stream paths containing the (n index, trial) pair, so results are
 independent of execution order and worker count.  With more than one worker,
 the (n index, trial) cells run in worker processes, each holding one copy of
-the dataset and the config.
+the dataset and the config.  Within a cell, ``ppboot``, ``ppboot-tuned`` and
+``classical`` share one main bootstrap loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import (
-    classical_bootstrap_interval,
     classical_clt_mean_interval,
     imputed_interval,
     ppi_mean_interval,
@@ -27,15 +27,22 @@ from .baselines import (
 from .boot import (
     BootstrapConfig,
     ConfidenceInterval,
-    ppboot_interval,
+    fixed_lambda,
+    interval_resamplers,
+    loop_values,
+    percentile_interval,
+    ppboot_point_estimate,
     reported_interval,
+    require_retained,
+    resample_estimates,
     transform_value,
+    tuned_lambda,
 )
 from .crossfit import LearnerSpec, cross_ppboot_interval, make_learner, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
 from .errors import NUMBER, EstimationError, check_config
 from .estimators import EstimandSpec, evaluate
-from .resampling import PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
+from .resampling import PHASE_MAIN, PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
 
 DGP_KINDS = ("gaussian_linear", "bernoulli_mean", "binary_pair", "logistic")
 PREDICTION_MODELS = ("oracle", "noisy_truth", "biased", "pure_noise")
@@ -280,12 +287,6 @@ def _run_method(
 ) -> ConfidenceInterval:
     spec = config.estimand
     cfg = config.bootstrap
-    if method == "ppboot":
-        return ppboot_interval(labeled, unlabeled, spec, cfg, stream)
-    if method == "ppboot-tuned":
-        return ppboot_interval(labeled, unlabeled, spec, replace(cfg, lambda_mode="tuned"), stream)
-    if method == "classical":
-        return classical_bootstrap_interval(labeled, spec, cfg, stream)
     if method == "imputed":
         return imputed_interval(unlabeled, spec, cfg, stream)
     if method == "ppi-mean":
@@ -309,19 +310,56 @@ def _run_method(
 def _run_cell(
     full: LabeledDataset, config: TrialConfig, cell: tuple[int, int]
 ) -> dict[str, ConfidenceInterval | EstimationError]:
-    """Split one (n index, trial) cell and run every method; a failure is the method's outcome."""
+    """Split one (n index, trial) cell and run every method; a failure is the method's outcome.
+
+    ``ppboot``, ``ppboot-tuned`` and ``classical`` draw their main loops on
+    the same ``(..., PHASE_MAIN, b, r)`` streams of the cell's base stream,
+    so the cell runs that loop once for them (:func:`resample_estimates`
+    also returns the classical values), after the other methods.  Each
+    builds, and so checks, the sides ``ppboot_interval`` would build for it
+    where it stands in ``methods``, so an argument error surfaces where it
+    did.  Each tunes its own multiplier, and takes its own values, dropped
+    count, failure and point estimate from the public steps.
+    """
     ni, trial = cell
-    base = RngStream(config.bootstrap.master_seed, (ni, trial))
+    cfg, spec = config.bootstrap, config.estimand
+    base = RngStream(cfg.master_seed, (ni, trial))
     labeled, unlabeled = split_trial(full, config.n_grid[ni], base.child(PHASE_SPLIT))
+    # The multiplier each shared-loop method fixes (classical: 0), None where it is tuned.
+    fixed = {"ppboot": fixed_lambda(cfg), "ppboot-tuned": None, "classical": 0.0}
     out: dict[str, ConfidenceInterval | EstimationError] = {}
+    sides = ()
     for method in config.methods:
+        if method in fixed:
+            lam = fixed[method]
+            # The labeled outcomes' side, the first of every method's sides, is checked once.
+            if len(sides) < 3 and (lam != 0.0 or not sides):
+                sides = interval_resamplers(labeled, unlabeled, spec, 1.0 if lam is None else lam)
+            continue
         try:
-            out[method] = reported_interval(
-                _run_method(method, labeled, unlabeled, config, base), config.estimand
-            )
+            out[method] = reported_interval(_run_method(method, labeled, unlabeled, config, base), spec)
         except EstimationError as exc:
             out[method] = exc
-    return out
+    lambdas: dict[str, float] = {}
+    for method in (m for m in config.methods if m in fixed):
+        try:
+            lambdas[method] = tuned_lambda(sides, cfg, base) if fixed[method] is None else fixed[method]
+        except EstimationError as exc:
+            out[method] = exc
+    if lambdas:
+        # Multipliers that are all 0 need the labeled outcomes alone: the classical loop.
+        loop = resample_estimates(sides if any(lambdas.values()) else sides[:1], cfg.B,
+                                  base.child(PHASE_MAIN), cfg.max_degenerate_retries)
+    for method, lam in lambdas.items():
+        values, dropped = loop_values(loop, lam)
+        try:
+            # A bootstrap failure takes precedence over a degenerate point estimate.
+            require_retained(values, dropped)
+            ci = percentile_interval(values, dropped, cfg.alpha, ppboot_point_estimate(sides, lam), lam)
+            out[method] = reported_interval(ci, spec)
+        except EstimationError as exc:
+            out[method] = exc
+    return {method: out[method] for method in config.methods}
 
 
 # (full, config) of the study a worker process serves; set once per worker.

@@ -195,8 +195,8 @@ class TestDegenerateHandling:
             def estimates(self, draws, count):
                 return [estimators.EstimateValue(math.inf if k % 2 else math.nan) for k, _ in enumerate(draws)]
 
-        rows, dropped = resample_estimates((NonFinite(),), 6, stream, 2)
-        assert rows.shape == (0, 1) and dropped == 6
+        rows, dropped, classical = resample_estimates((NonFinite(),), 6, stream, 2)
+        assert rows.shape == (0, 1) and dropped == 6 and classical.shape == (0,)
 
     def test_pearson_interval_at_1e160_is_finite(self, stream):
         # At 1e160 the squares overflow: without the power-of-two scaling the

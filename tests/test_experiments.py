@@ -3,12 +3,14 @@
 import concurrent.futures
 import copy
 import csv
+import math
 import multiprocessing
 import os
 import resource
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,12 @@ from ppboot import (
     summarize_to_tables,
     write_reports,
 )
-from ppboot.experiments import study_from_config
+from ppboot import boot
+from ppboot.baselines import classical_bootstrap_interval, imputed_interval
+from ppboot.boot import ppboot_interval, reported_interval
+from ppboot.data import split_trial
+from ppboot.experiments import _init_worker, _run_cell, _worker_cell, study_from_config
+from ppboot.resampling import PHASE_SPLIT
 
 
 def parse_report_csv(path: str) -> list[dict]:
@@ -391,6 +398,123 @@ class TestWorkerProcesses:
         before = _children_cpu_s()
         assert run_coverage_study(full, config, threads=2) == one
         assert _children_cpu_s() - before > 0.5 * work
+
+
+def _empty_cell_data(seed=1, total=400):
+    """Rare exposed ones: small labeled splits often leave a cell of the 2x2 table empty."""
+    g = np.random.default_rng(seed)
+    e = (g.random(total) < 0.3).astype(float)
+    y = (g.random(total) < np.where(e == 1.0, 0.2, 0.5)).astype(float)
+    return LabeledDataset(e[:, None], y, np.where(g.random(total) < 0.8, 1.0 - y, y))
+
+
+def _near_separated_data(seed=1, total=400):
+    """0/1 outcomes almost determined by the sign of the feature: small splits often separate."""
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(total)
+    y = (x + 0.5 * g.standard_normal(total) > 0.0).astype(float)
+    return LabeledDataset(x[:, None], y, np.where(g.random(total) < 0.8, 1.0 - y, y))
+
+
+def _mostly_constant_feature_data(seed=1, total=400):
+    """A feature that is 0 on most rows, so small resamples often see it constant.
+
+    The predictions are an exact linear function of the feature, so their
+    correlation with it is 1 up to rounding on every resample, and the
+    tuning denominator falls below ``TUNING_DENOM_FLOOR``.
+    """
+    g = np.random.default_rng(seed)
+    x = np.where(g.random(total) < 0.8, 0.0, g.standard_normal(total))
+    return LabeledDataset(x[:, None], x + g.standard_normal(total), 2.0 * x + 1.0)
+
+
+# (data, estimand, n, whether some interval fails)
+_DEGENERATE_STUDIES = {
+    "log-odds-ratio-empty-cells": (_empty_cell_data, EstimandSpec("log_odds_ratio"), 24, True),
+    "near-separated-logistic": (_near_separated_data, EstimandSpec("logistic_coef"), 16, False),
+    "constant-pearson-column": (_mostly_constant_feature_data, EstimandSpec("pearson_corr"), 10, True),
+}
+# Bootstrap settings under which some multiplier is 0, and the tuning floor to
+# use: infinite sends every tuned multiplier to 0 through the floor.
+_ZERO_MULTIPLIERS = {
+    "fixed-0": (dict(lambda_mode="fixed", lambda_value=0.0), None),
+    "clipped-to-0": (dict(lambda_mode="fixed", lambda_value=-0.5, clip_lambda=True), None),
+    "tuned-at-floor": ({}, math.inf),
+}
+
+
+def _per_method_cell(full, config, cell):
+    """The cell as the per-method calls run it, each on the cell's base stream."""
+    ni, trial = cell
+    base = RngStream(config.bootstrap.master_seed, (ni, trial))
+    labeled, unlabeled = split_trial(full, config.n_grid[ni], base.child(PHASE_SPLIT))
+    spec, cfg = config.estimand, config.bootstrap
+    calls = {
+        "ppboot": lambda: ppboot_interval(labeled, unlabeled, spec, cfg, base),
+        "ppboot-tuned": lambda: ppboot_interval(labeled, unlabeled, spec, replace(cfg, lambda_mode="tuned"), base),
+        "classical": lambda: classical_bootstrap_interval(labeled, spec, cfg, base),
+        "imputed": lambda: imputed_interval(unlabeled, spec, cfg, base),
+    }
+    out = {}
+    for method in config.methods:
+        try:
+            out[method] = reported_interval(calls[method](), spec)
+        except EstimationError as exc:
+            out[method] = exc
+    return out
+
+
+class TestSharedMainLoop:
+    """A cell runs one main loop for ppboot, ppboot-tuned and classical; the results are the per-method calls'."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "two-workers"])
+    @pytest.mark.parametrize("zero", list(_ZERO_MULTIPLIERS))
+    @pytest.mark.parametrize("study", list(_DEGENERATE_STUDIES))
+    def test_cell_equals_the_per_method_calls(self, study, zero, workers, monkeypatch):
+        make, spec, n, fails = _DEGENERATE_STUDIES[study]
+        settings, floor = _ZERO_MULTIPLIERS[zero]
+        if floor is not None:
+            monkeypatch.setattr(boot, "TUNING_DENOM_FLOOR", floor)
+        full = make()
+        config = _study_config(
+            n_grid=(n,), trials=6, methods=("classical", "imputed", "ppboot", "ppboot-tuned"), estimand=spec,
+            bootstrap=BootstrapConfig(B=60, master_seed=3, max_degenerate_retries=1, **settings),
+        )
+        cells = [(0, t) for t in range(config.trials)]
+        if workers == 1:
+            shared = [_run_cell(full, config, cell) for cell in cells]
+        else:
+            # Forked workers see the patched floor.
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("no fork start method here")
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_init_worker, initargs=(full, config)) as pool:
+                shared = list(pool.map(_worker_cell, cells))
+        expected = [_per_method_cell(full, config, cell) for cell in cells]
+        # repr shows every float's bits, degenerate_iterations and an error's type and text.
+        assert [{m: repr(o) for m, o in out.items()} for out in shared] == \
+            [{m: repr(o) for m, o in out.items()} for out in expected]
+        outcomes = [o for out in expected for o in out.values()]
+        assert any(isinstance(o, ConfidenceInterval) and o.degenerate_iterations for o in outcomes)
+        assert any(isinstance(o, EstimationError) for o in outcomes) == fails
+        zero_methods = ("classical", "ppboot-tuned") if zero == "tuned-at-floor" else ("classical", "ppboot")
+        if study == "constant-pearson-column":  # at the unpatched floor too
+            zero_methods += ("ppboot-tuned",)
+        assert any(isinstance(out[m], ConfidenceInterval) for out in expected for m in zero_methods)
+        assert all(out[m].lambda_used == 0.0 for out in expected for m in zero_methods
+                   if isinstance(out[m], ConfidenceInterval))
+
+    def test_argument_errors_keep_the_method_order(self):
+        # classical needs the labeled outcomes alone, so the non-binary
+        # predictions are first seen by imputed, whose error comes first.
+        full = _near_separated_data()
+        full = LabeledDataset(full.features, full.outcomes, full.predictions + 0.5)
+        config = _study_config(n_grid=(16,), trials=1, methods=("classical", "imputed", "ppboot"),
+                               estimand=EstimandSpec("logistic_coef"), bootstrap=BootstrapConfig(B=20))
+        with pytest.raises(ValueError, match="^labeled outcomes must contain only 0/1 values$"):
+            _per_method_cell(full, config, (0, 0))
+        with pytest.raises(ValueError, match="^labeled outcomes must contain only 0/1 values$"):
+            _run_cell(full, config, (0, 0))
 
 
 class TestReports:

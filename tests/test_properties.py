@@ -756,3 +756,67 @@ def test_a_power_of_two_feature_scale_keeps_every_engine_resample(side, data):
     for a, b in zip(plain, canonical_resampler(spec, scaled, y).estimates(draws, len(draws)), strict=True):
         assert a.reason == b.reason
         assert a.reason is not None or k > 0 or b.value * factor == pytest.approx(a.value, rel=1e-10)
+
+
+@st.composite
+def integer_sides(draw):
+    """The values of an integer-valued mean side that sums exactly: 0/1 data, small integers or the 2**53 bound.
+
+    Each holds ``-0.0`` sometimes.  A side ``at-bound`` has a value of the
+    largest magnitude the bound allows, ``2**53 // size``, so the draw of
+    that value ``size`` times sums to ``2**53`` where ``size`` divides it.
+    """
+    size = draw(st.sampled_from((1, 2, 3, 4, 7, 8, 16, 31, 32)) | st.integers(1, 40))
+    kind = draw(st.sampled_from(("binary", "small", "at-bound")))
+    top = 2**53 // size
+    elements = {"binary": st.sampled_from(SIGNED_BINARY),
+                "small": st.integers(-50, 50).map(float) | st.just(-0.0),
+                "at-bound": st.integers(-top, top).map(float) | st.just(-0.0)}[kind]
+    values = draw(st.lists(elements, min_size=size, max_size=size))
+    if kind == "at-bound":
+        values[draw(st.integers(0, size - 1))] = float(draw(st.sampled_from((top, -top))))
+    return np.array(values)
+
+
+def integer_side_draws(values: np.ndarray, data) -> list[np.ndarray]:
+    """Random resamples, and the one that draws the largest magnitude every time."""
+    size = values.size
+    draws = [np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+             for _ in range(3)]
+    return draws + [np.full(size, int(np.argmax(np.abs(values))))]
+
+
+@PROPERTY_SETTINGS
+@given(integer_sides(), st.data())
+def test_an_integer_mean_side_sums_unsorted_to_the_sorted_bits(values, data):
+    spec = EstimandSpec("mean")
+    side = canonical_resampler(spec, None, values)
+    assert side.exact_sum
+    assert not canonical_resampler(EstimandSpec("quantile"), None, values).exact_sum
+    draws = integer_side_draws(values, data)
+    with mock.patch.object(estimators, "_outcome_kernel", wraps=estimators._outcome_kernel) as kernel:
+        got = side.estimates(draws, len(draws))
+    assert kernel.call_count == 0
+    for idx, estimate in zip(draws, got, strict=True):
+        # The parent's path: the sorted sum of the drawn values.
+        assert same_estimate(estimate, estimators._outcome_kernel(spec, side.values[idx]))
+        assert bits(estimate.value) == bits(float(np.sum(np.sort(values[idx] + 0.0))) / values.size)
+
+
+@PROPERTY_SETTINGS
+@given(integer_sides(), st.sampled_from(("fraction", "over-bound")), st.data())
+def test_a_side_past_the_bound_or_with_a_fraction_sorts(values, change, data):
+    spec = EstimandSpec("mean")
+    values = values.copy()
+    size = values.size
+    # 2**53 + 1 is no double, so a side of one row goes over by 2.
+    over = 2**53 // size + (2 if size == 1 else 1)
+    values[data.draw(st.integers(0, size - 1))] = (data.draw(st.sampled_from((0.5, -2.5)))
+                                                   if change == "fraction" else float(over))
+    assert change == "fraction" or size * int(max(abs(values))) > 2**53
+    side = canonical_resampler(spec, None, values)
+    assert not side.exact_sum
+    draws = integer_side_draws(values, data)
+    with mock.patch.object(estimators, "_outcome_kernel", wraps=estimators._outcome_kernel) as kernel:
+        side.estimates(draws, len(draws))
+    assert kernel.call_count == len(draws)

@@ -123,20 +123,27 @@ class TestDrawResample:
     def test_loop_draws_each_attempt_on_its_stream(self, base):
         # Iteration b, attempt r reads the labeled and unlabeled indices drawn
         # on base.child(PHASE_MAIN, b, r), redrawn where the attempt degenerates.
+        # The classical values are the first side's at its first clean attempt.
         sides = (_Fingerprint(8), _Fingerprint(8), _Fingerprint(30))
         B, retries = 30, 2
-        expected = []
+        expected, classical = [], []
         for b in range(B):
+            first = None
             for r in range(retries + 1):
                 attempt = base.child(PHASE_MAIN, b, r)
                 labeled_idx = draw_labeled_indices(8, attempt)
                 ests = sides[0].estimates([labeled_idx, labeled_idx, draw_unlabeled_indices(30, attempt)], 3)
+                if first is None and ests[0].ok:
+                    first = ests[0].value
                 if all(e.ok for e in ests):
                     expected.append([e.value for e in ests])
                     break
-        rows, dropped = resample_estimates(sides, B, base.child(PHASE_MAIN), retries)
+            if first is not None:
+                classical.append(first)
+        rows, dropped, first_ok = resample_estimates(sides, B, base.child(PHASE_MAIN), retries)
         assert 0 < dropped < B
         assert rows.tolist() == expected and dropped == B - len(expected)
+        assert first_ok.tolist() == classical and len(classical) > len(expected)
 
     def test_wide_component_draws_as_its_generator(self):
         # A component of 2**32 or more spans two SeedSequence words; its keys
