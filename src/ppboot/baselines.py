@@ -22,8 +22,10 @@ def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
         raise ValueError("outcomes must be a 1-D vector with at least 2 entries")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (0, 1): got {alpha}")
-    center = float(np.mean(y))
-    sd = float(np.std(y, ddof=1))
+    # An overflow makes the interval non-finite, which reported_interval rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = float(np.mean(y))
+        sd = float(np.std(y, ddof=1))
     reason = None
     if sd == 0.0:
         reason = "zero variance"
@@ -46,10 +48,8 @@ def classical_bootstrap_interval(
 
     This is the prediction-powered interval with the multiplier fixed at 0
     and no unlabeled data, so given the same base ``stream`` the two share
-    their main-phase substreams and are identical at multiplier 0.  Its
-    values are also the first side of the prediction-powered main loop on
-    those streams (``boot.resample_estimates``), so a study cell takes them
-    from that one loop instead of calling this.
+    their main-phase substreams and are identical at multiplier 0.  A study
+    cell takes it from its one ``boot.ppboot_intervals`` call instead.
     """
     return ppboot_interval(labeled, None, spec, replace(cfg, lambda_mode="fixed", lambda_value=0.0), stream)
 
@@ -74,11 +74,13 @@ def ppi_mean_interval(
         raise ValueError(f"alpha must lie strictly inside (0, 1): got {alpha}")
     if labeled.n < 2 or unlabeled.N < 2:
         raise ValueError("need at least 2 labeled and 2 unlabeled rows")
-    residual = labeled.outcomes - labeled.predictions
-    center = float(np.mean(unlabeled.predictions) + np.mean(residual))
-    var = float(np.var(unlabeled.predictions, ddof=1)) / unlabeled.N + float(
-        np.var(residual, ddof=1)
-    ) / labeled.n
+    # An overflow makes the interval non-finite, which reported_interval rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = labeled.outcomes - labeled.predictions
+        center = float(np.mean(unlabeled.predictions) + np.mean(residual))
+        var = float(np.var(unlabeled.predictions, ddof=1)) / unlabeled.N + float(
+            np.var(residual, ddof=1)
+        ) / labeled.n
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(var)
     return ConfidenceInterval(
         lower=center - half,

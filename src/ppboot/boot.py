@@ -10,28 +10,28 @@ The multiplier ``lam`` controls reliance on the predictions: 1 is the plain
 combination, 0 falls back to the classical bootstrap of the labeled outcomes
 (the loop then resamples the labeled outcomes only), and ``tuned`` estimates
 the variance-minimizing multiplier from an initial bootstrap on disjoint
-streams.  :func:`ppboot_interval` runs the public steps in order, each on
-the interval's sides:
+streams.  Every percentile-bootstrap interval comes from
+:func:`ppboot_intervals`, on one interval's sides for any number of
+multipliers (a study cell serves ``ppboot``, ``ppboot-tuned`` and
+``classical`` together), in these steps:
 
-1. :func:`interval_resamplers` checks and merges each side (labeled
-   outcomes, labeled predictions, unlabeled predictions) once; at
+1. :func:`interval_resamplers` (the caller's) checks and merges each side
+   (labeled outcomes, labeled predictions, unlabeled predictions) once; at
    ``lam == 0`` only the labeled outcomes.
-2. :func:`tune_lambda` (``tuned`` only) estimates the multiplier.
-3. :func:`ppboot_draws` runs the main loop and combines each iteration.
-4. :func:`require_retained` fails an interval that kept under half of them.
-5. :func:`ppboot_point_estimate` combines each side's identity resample.
-6. :func:`percentile_interval` reads off the interval.
+2. :func:`tune_lambda` estimates the multiplier, once for all tuned ones.
+3. :func:`ppboot_draws` runs the main loop once, for every multiplier.
+4. Per multiplier, :func:`require_retained` fails an interval that kept
+   under half of its iterations; :func:`ppboot_point_estimate` and
+   :func:`percentile_interval` give the rest.
 
 Main, classical and tuning draws all come from one loop,
 :func:`resample_estimates`, with one body for one side or three: an
 attempt's labeled indices are drawn once and shared by the labeled sides,
 and its unlabeled indices are drawn only when the unlabeled side reads
-them.  The loop also returns the classical bootstrap's values on the same
-streams, so a study cell runs it once for ``ppboot``, ``ppboot-tuned`` and
-``classical`` and hands each its values with :func:`loop_values`.  Attempt
-``r`` of main iteration ``b`` draws on the stream
-``(..., PHASE_MAIN, b, r)`` and tuning resample ``b`` on
-``(..., PHASE_TUNING, b)``; the loop keys these streams in bulk
+them.  It also returns the classical bootstrap's values on the same
+streams, which a multiplier of 0 takes.  Attempt ``r`` of main iteration
+``b`` draws on the stream ``(..., PHASE_MAIN, b, r)`` and tuning resample
+``b`` on ``(..., PHASE_TUNING, b)``; the loop keys these streams in bulk
 (:func:`resampling.philox_keys`) and resets one generator of its own to
 each, so it draws what :meth:`RngStream.generator` would.  It draws a
 chunk of iterations at a time, sized so that the largest side's count
@@ -44,6 +44,7 @@ in the same loop.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -258,8 +259,10 @@ def _combine(estimates, lam: float):
         return estimates[0]
     lab, pred, unl = estimates
     # Grouping the labeled difference keeps the cancellation exact when
-    # predictions coincide with outcomes.
-    return lam * unl + (lab - lam * pred)
+    # predictions coincide with outcomes.  An overflow is left to
+    # reported_interval, which rejects a non-finite interval.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lam * unl + (lab - lam * pred)
 
 
 def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) -> float:
@@ -283,38 +286,31 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
     # Contiguous columns: BLAS may sum a strided dot product in another order.
-    lab, pred, unl = (col - col.mean() for col in rows.T.copy())
-    cov = float(np.dot(pred, lab)) / (m - 1)
-    denom = float(np.dot(pred, pred)) / (m - 1) + float(np.dot(unl, unl)) / (m - 1)
+    # An overflowed moment gives a non-finite multiplier, which reported_interval rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lab, pred, unl = (col - col.mean() for col in rows.T.copy())
+        cov = float(np.dot(pred, lab)) / (m - 1)
+        denom = float(np.dot(pred, pred)) / (m - 1) + float(np.dot(unl, unl)) / (m - 1)
     if denom < TUNING_DENOM_FLOOR:
         return 0.0
     return cov / denom
 
 
 def ppboot_draws(
-    sides: tuple[Resampler, ...], lam: float, B: int, stream: RngStream, max_degenerate_retries: int = 10
-) -> tuple[np.ndarray, int]:
-    """The retained per-iteration combined values, in iteration order, and the dropped count.
+    sides: tuple[Resampler, ...], lams: Sequence[float], B: int, stream: RngStream, max_degenerate_retries: int = 10
+) -> list[tuple[np.ndarray, int]]:
+    """Each multiplier's retained combined values, in iteration order, and dropped count, from one main loop.
 
     Attempt ``r`` of iteration ``b`` draws at ``(..., PHASE_MAIN, b, r)``.
-    With ``lam == 0`` only the labeled outcomes (the first side) are
-    resampled: this is the classical labeled bootstrap.
+    A multiplier of 0 takes the classical bootstrap's values on these
+    streams; when every multiplier is 0, only the labeled outcomes (the
+    first side) are resampled: this is the classical labeled bootstrap.
     """
-    loop = resample_estimates(sides[:1] if lam == 0.0 else sides, B, stream.child(PHASE_MAIN), max_degenerate_retries)
-    return loop_values(loop, lam)
-
-
-def loop_values(loop: tuple[np.ndarray, int, np.ndarray], lam: float) -> tuple[np.ndarray, int]:
-    """The retained combined values and the dropped count of multiplier ``lam`` from one main loop.
-
-    ``loop`` is what :func:`resample_estimates` returned on the interval's
-    main streams.  At ``lam == 0`` these are the classical bootstrap's,
-    whichever sides the loop ran.
-    """
-    rows, dropped, classical = loop
-    if lam == 0.0:
-        return classical, rows.shape[0] + dropped - classical.size
-    return _combine(rows.T.copy(), lam), dropped
+    every_zero = all(lam == 0.0 for lam in lams)
+    rows, dropped, classical = resample_estimates(sides[:1] if every_zero else sides, B, stream.child(PHASE_MAIN),
+                                                  max_degenerate_retries)
+    columns = rows.T.copy()
+    return [(classical, B - classical.size) if lam == 0.0 else (_combine(columns, lam), dropped) for lam in lams]
 
 
 def require_retained(values: np.ndarray, dropped: int) -> None:
@@ -370,9 +366,37 @@ def fixed_lambda(cfg: BootstrapConfig) -> float | None:
     return _clipped(cfg, 1.0 if cfg.lambda_mode == "off" else float(cfg.lambda_value))
 
 
-def tuned_lambda(sides: tuple[Resampler, ...], cfg: BootstrapConfig, stream: RngStream) -> float:
-    """:func:`tune_lambda` on the tuning streams under the base ``stream``, clipped where ``cfg`` asks."""
-    return _clipped(cfg, tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING)))
+def ppboot_intervals(
+    sides: tuple[Resampler, ...], multipliers: Sequence[float | None], cfg: BootstrapConfig, stream: RngStream
+) -> list[ConfidenceInterval | EstimationError]:
+    """The percentile interval of each multiplier (``None``: tuned) on one interval's sides, or its failure.
+
+    ``stream`` is the base stream: tuning, run once for every tuned
+    multiplier and clipped where ``cfg`` asks, draws under its
+    ``PHASE_TUNING`` child and the one main loop under ``PHASE_MAIN``.
+    """
+    lams = list(multipliers)
+    if None in lams:
+        try:
+            tuned = _clipped(cfg, tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING)))
+        except EstimationError as exc:
+            tuned = exc
+        lams = [tuned if lam is None else lam for lam in lams]
+    fine = [lam for lam in lams if not isinstance(lam, EstimationError)]
+    draws = iter(ppboot_draws(sides, fine, cfg.B, stream, cfg.max_degenerate_retries) if fine else ())
+    out: list[ConfidenceInterval | EstimationError] = []
+    for lam in lams:
+        if isinstance(lam, EstimationError):  # the tuning failure
+            out.append(lam)
+            continue
+        values, dropped = next(draws)
+        try:
+            # A bootstrap failure takes precedence over a degenerate point estimate.
+            require_retained(values, dropped)
+            out.append(percentile_interval(values, dropped, cfg.alpha, ppboot_point_estimate(sides, lam), lam))
+        except EstimationError as exc:
+            out.append(exc)
+    return out
 
 
 def ppboot_interval(
@@ -393,11 +417,10 @@ def ppboot_interval(
     """
     fixed = fixed_lambda(cfg)
     sides = interval_resamplers(labeled, unlabeled, spec, 1.0 if fixed is None else fixed)
-    lam = tuned_lambda(sides, cfg, stream) if fixed is None else fixed
-    values, dropped = ppboot_draws(sides, lam, cfg.B, stream, cfg.max_degenerate_retries)
-    # A bootstrap failure takes precedence over a degenerate point estimate.
-    require_retained(values, dropped)
-    return percentile_interval(values, dropped, cfg.alpha, ppboot_point_estimate(sides, lam), lam)
+    [outcome] = ppboot_intervals(sides, [fixed], cfg, stream)
+    if isinstance(outcome, EstimationError):
+        raise outcome
+    return outcome
 
 
 def reported_interval(ci: ConfidenceInterval, spec: EstimandSpec) -> ConfidenceInterval:
@@ -406,6 +429,8 @@ def reported_interval(ci: ConfidenceInterval, spec: EstimandSpec) -> ConfidenceI
     Correlation intervals are intersected with [-1, 1] (the combined bootstrap
     values may step outside it); ``exp`` and ``fisher_z_inverse`` map all
     three summaries monotonically, so coverage statements are unaffected.
+    A non-finite endpoint or point (an overflow) raises
+    :class:`EstimationError`: no interval is reported as infinite or NaN.
     """
     lower, upper = ci.lower, ci.upper
     if spec.kind == "pearson_corr":
@@ -413,18 +438,22 @@ def reported_interval(ci: ConfidenceInterval, spec: EstimandSpec) -> ConfidenceI
         # entirely outside the correlation range.
         lower = min(max(lower, -1.0), 1.0)
         upper = min(max(upper, -1.0), 1.0)
-    return replace(
+    out = replace(
         ci,
         lower=transform_value(lower, spec),
         upper=transform_value(upper, spec),
         point_estimate=transform_value(ci.point_estimate, spec),
     )
+    if not all(map(math.isfinite, (out.lower, out.upper, out.point_estimate))):
+        raise EstimationError(f"non-finite interval: lower {out.lower}, upper {out.upper}, point {out.point_estimate}")
+    return out
 
 
 def transform_value(value: float, spec: EstimandSpec) -> float:
-    """Apply the reporting transform to a scalar (e.g. a ground-truth value)."""
+    """Apply the reporting transform to a scalar (e.g. a ground-truth value); ``exp`` may overflow to inf."""
     if spec.transform == "exp":
-        return float(np.exp(value))
+        with np.errstate(over="ignore"):
+            return float(np.exp(value))
     if spec.transform == "fisher_z_inverse":
         return float(np.tanh(value))
     return value

@@ -373,8 +373,10 @@ def _separates(
 def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
     """Mean or quantile of the drawn values ``y``, in any order."""
     if spec.kind == "mean":
-        # Sorted, so the float sum does not depend on the input order.
-        return EstimateValue(float(np.sum(np.sort(y))) / y.size)
+        # Sorted, so the float sum does not depend on the input order.  An
+        # overflowed sum is not finite, which EstimateValue marks degenerate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return EstimateValue(float(np.sum(np.sort(y))) / y.size)
     k = nearest_rank_index(spec.q, y.size)
     return EstimateValue(float(np.partition(y, k)[k]))
 

@@ -29,20 +29,15 @@ from .boot import (
     ConfidenceInterval,
     fixed_lambda,
     interval_resamplers,
-    loop_values,
-    percentile_interval,
-    ppboot_point_estimate,
+    ppboot_intervals,
     reported_interval,
-    require_retained,
-    resample_estimates,
     transform_value,
-    tuned_lambda,
 )
 from .crossfit import LearnerSpec, cross_ppboot_interval, make_learner, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
 from .errors import NUMBER, EstimationError, check_config
 from .estimators import EstimandSpec, evaluate
-from .resampling import PHASE_MAIN, PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
+from .resampling import PHASE_SPLIT, PHASE_SYNTHETIC, RngStream
 
 DGP_KINDS = ("gaussian_linear", "bernoulli_mean", "binary_pair", "logistic")
 PREDICTION_MODELS = ("oracle", "noisy_truth", "biased", "pure_noise")
@@ -214,6 +209,8 @@ class TrialConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            if self.methods.count(m) > 1:
+                raise ValueError(f"method {m!r} is listed more than once")
             if m in _MEAN_ONLY_METHODS and self.estimand.kind != "mean":
                 raise ValueError(f"method {m!r} supports the mean estimand only")
             _check_binary_predictions(m, self.estimand.kind, self.learner)
@@ -312,14 +309,11 @@ def _run_cell(
 ) -> dict[str, ConfidenceInterval | EstimationError]:
     """Split one (n index, trial) cell and run every method; a failure is the method's outcome.
 
-    ``ppboot``, ``ppboot-tuned`` and ``classical`` draw their main loops on
-    the same ``(..., PHASE_MAIN, b, r)`` streams of the cell's base stream,
-    so the cell runs that loop once for them (:func:`resample_estimates`
-    also returns the classical values), after the other methods.  Each
-    builds, and so checks, the sides ``ppboot_interval`` would build for it
-    where it stands in ``methods``, so an argument error surfaces where it
-    did.  Each tunes its own multiplier, and takes its own values, dropped
-    count, failure and point estimate from the public steps.
+    ``ppboot``, ``ppboot-tuned`` and ``classical`` share one
+    :func:`ppboot_intervals` call on the cell's base stream, after the other
+    methods: it tunes once and runs one main loop for them.  Each builds, and
+    so checks, the sides ``ppboot_interval`` would build for it where it
+    stands in ``methods``, so an argument error surfaces where it did.
     """
     ni, trial = cell
     cfg, spec = config.bootstrap, config.estimand
@@ -327,6 +321,7 @@ def _run_cell(
     labeled, unlabeled = split_trial(full, config.n_grid[ni], base.child(PHASE_SPLIT))
     # The multiplier each shared-loop method fixes (classical: 0), None where it is tuned.
     fixed = {"ppboot": fixed_lambda(cfg), "ppboot-tuned": None, "classical": 0.0}
+    shared = [method for method in config.methods if method in fixed]
     out: dict[str, ConfidenceInterval | EstimationError] = {}
     sides = ()
     for method in config.methods:
@@ -337,29 +332,22 @@ def _run_cell(
                 sides = interval_resamplers(labeled, unlabeled, spec, 1.0 if lam is None else lam)
             continue
         try:
-            out[method] = reported_interval(_run_method(method, labeled, unlabeled, config, base), spec)
+            out[method] = _run_method(method, labeled, unlabeled, config, base)
         except EstimationError as exc:
             out[method] = exc
-    lambdas: dict[str, float] = {}
-    for method in (m for m in config.methods if m in fixed):
-        try:
-            lambdas[method] = tuned_lambda(sides, cfg, base) if fixed[method] is None else fixed[method]
-        except EstimationError as exc:
-            out[method] = exc
-    if lambdas:
-        # Multipliers that are all 0 need the labeled outcomes alone: the classical loop.
-        loop = resample_estimates(sides if any(lambdas.values()) else sides[:1], cfg.B,
-                                  base.child(PHASE_MAIN), cfg.max_degenerate_retries)
-    for method, lam in lambdas.items():
-        values, dropped = loop_values(loop, lam)
-        try:
-            # A bootstrap failure takes precedence over a degenerate point estimate.
-            require_retained(values, dropped)
-            ci = percentile_interval(values, dropped, cfg.alpha, ppboot_point_estimate(sides, lam), lam)
-            out[method] = reported_interval(ci, spec)
-        except EstimationError as exc:
-            out[method] = exc
-    return {method: out[method] for method in config.methods}
+    if shared:
+        out.update(zip(shared, ppboot_intervals(sides, [fixed[method] for method in shared], cfg, base)))
+    return {method: _reported(out[method], spec) for method in config.methods}
+
+
+def _reported(
+    outcome: ConfidenceInterval | EstimationError, spec: EstimandSpec
+) -> ConfidenceInterval | EstimationError:
+    """The reported interval of a method's outcome, or its failure."""
+    try:
+        return outcome if isinstance(outcome, EstimationError) else reported_interval(outcome, spec)
+    except EstimationError as exc:
+        return exc
 
 
 # (full, config) of the study a worker process serves; set once per worker.
@@ -394,6 +382,8 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     if not truth_est.ok:
         raise EstimationError(f"ground truth is degenerate: {truth_est.reason}")
     truth = transform_value(truth_est.value, config.estimand)
+    if not np.isfinite(truth):
+        raise EstimationError(f"ground truth is not finite after the transform: {truth}")
 
     cells = [(ni, t) for ni in range(len(config.n_grid)) for t in range(config.trials)]
     # Workers beyond the CPUs this process may run on would only queue.

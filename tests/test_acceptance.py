@@ -170,7 +170,7 @@ def test_criterion_02_perfect_prediction_collapse():
     ok = True
     for estimand in (EstimandSpec("mean"), EstimandSpec("quantile", q=0.5)):
         B = 300
-        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, estimand), 1.0, B, base)
+        [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, estimand), [1.0], B, base)
         expected = []
         for b in range(B):
             unlabeled_idx = draw_unlabeled_indices(unlabeled.N, base.child(PHASE_MAIN, b, 0))

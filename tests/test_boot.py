@@ -68,7 +68,7 @@ class TestPerfectPredictionCollapse:
         labeled = LabeledDataset(g.standard_normal((12, 1)), y, y)
         unlabeled = UnlabeledDataset(g.standard_normal((30, 1)), g.standard_normal(30))
         B = 150
-        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, B, stream)
+        [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], B, stream)
         expected = []
         for b in range(B):
             unlabeled_idx = draw_unlabeled_indices(30, stream.child(2, b, 0))
@@ -124,7 +124,7 @@ class TestIntervalProperties:
     def test_endpoints_are_draw_values(self, stream):
         labeled, unlabeled = make_pair(seed=6)
         cfg = BootstrapConfig(B=173)
-        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, cfg.B, stream)
+        [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], cfg.B, stream)
         ci = ppboot_interval(labeled, unlabeled, MEAN, cfg, stream)
         assert ci.lower in values and ci.upper in values
         assert ci.lower <= ci.upper
@@ -161,7 +161,7 @@ class TestIntervalProperties:
         labeled = LabeledDataset(Xl, y, y + 0.3 * g.standard_normal(n))
         yu = g.standard_normal(N)
         unlabeled = UnlabeledDataset(g.standard_normal((N, 1)), yu + 0.3 * g.standard_normal(N))
-        values, _ = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, 400, RngStream(3))
+        [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], 400, RngStream(3))
         se = np.sqrt(0.09 / n + (1.0 + 0.09) / N + 1.0 / n)
         assert abs(float(np.mean(values))) < 4 * se
 
@@ -184,7 +184,7 @@ class TestDegenerateHandling:
         unlabeled = UnlabeledDataset((g.random(12) < 0.5).astype(float)[:, None], (g.random(12) < 0.5).astype(float))
         spec = EstimandSpec("log_odds_ratio", exposure_column=0)
         sides = interval_resamplers(labeled, unlabeled, spec)
-        values, dropped = ppboot_draws(sides, 1.0, 60, stream, max_degenerate_retries=10)
+        [(values, dropped)] = ppboot_draws(sides, [1.0], 60, stream, max_degenerate_retries=10)
         assert values.size + dropped == 60
         assert values.size > 0
 
@@ -336,7 +336,7 @@ class TestOneDrawPerSide:
         B = 60
         # The mean never degenerates, so every iteration makes one attempt:
         # one labeled draw, and one unlabeled draw on three sides.
-        values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN, lam), lam, B, stream)
+        [(values, dropped)] = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN, lam), [lam], B, stream)
         assert (values.size, dropped) == (B, 0)
         assert sorted(draws) == sorted(sizes * B)
         assert generators == []
@@ -359,13 +359,13 @@ class TestKeyedLoop:
         labeled = LabeledDataset(features[0], outcomes[0], outcomes[1])
         unlabeled = UnlabeledDataset(features[1], outcomes[2])
         sides = interval_resamplers(labeled, unlabeled, spec)
-        whole = ppboot_draws(sides, 1.0, 40, stream, 3)
+        [whole] = ppboot_draws(sides, [1.0], 40, stream, 3)
         tuned = tune_lambda(sides, 40, stream.child(PHASE_TUNING))
         monkeypatch.setattr(boot, "KEY_BLOCK", key_block)
         if chunk_bytes is not None:
             # Chunks of two and of six iterations, under a KEY_BLOCK of seven.
             monkeypatch.setattr(estimators, "CHUNK_BYTES", chunk_bytes * max(side.rows for side in sides))
-        blocked = ppboot_draws(sides, 1.0, 40, stream, 3)
+        [blocked] = ppboot_draws(sides, [1.0], 40, stream, 3)
         assert blocked[1] == whole[1]
         assert blocked[0].tobytes() == whole[0].tobytes()
         assert tune_lambda(sides, 40, stream.child(PHASE_TUNING)) == tuned
@@ -381,7 +381,7 @@ class TestKeyedLoop:
 
         monkeypatch.setattr(boot, "philox_keys", recording_keys)
         monkeypatch.setattr(boot, "KEY_BLOCK", 64)
-        ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), 1.0, 300, stream)
+        ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], 300, stream)
         assert rows == [64, 64, 64, 64, 44]
 
     def test_threads_give_the_sequential_intervals(self):

@@ -226,6 +226,35 @@ class TestInfer:
         assert code == 4
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("data, flags, message", [
+        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", id="lambda-1e308"),
+        pytest.param("mean-near-1000", {"--transform": "exp"}, "non-finite interval: lower inf, upper inf, point inf",
+                     id="exp-of-mean-near-1000"),
+        pytest.param("outcomes-1e308", {"--method": "ppi-mean"}, "non-finite interval: lower -inf, upper inf, ",
+                     id="ppi-mean-on-1e308"),
+        pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
+                     id="classical-on-1e308"),
+        pytest.param("values-1e160", {"--tune": ""}, "non-finite interval: lower nan, upper nan, point nan",
+                     id="tuned-on-1e160"),
+    ])
+    def test_overflow_exits_4_with_one_line(self, tmp_path, capsys, data, flags, message):
+        g = np.random.default_rng(12)
+        y, f, fu = {
+            None: (None, None, None),
+            "mean-near-1000": (1000.0 + g.random(8), 1000.0 + g.random(8), 1000.0 + g.random(10)),
+            "outcomes-1e308": (np.resize([1e308, -1e308], 8), g.random(8), g.random(10)),
+            "values-1e160": tuple(1e160 * g.standard_normal(m) for m in (20, 20, 30)),
+        }[data]
+        if data is not None:
+            labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
+            rows = zip(y.tolist(), f.tolist())
+            labeled.write_text("x,y,fhat\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+            unlabeled.write_text("x,fhat\n" + "".join(f"{i},{b!r}\n" for i, b in enumerate(fu.tolist())))
+            flags = {"--labeled": str(labeled), "--unlabeled": str(unlabeled), **flags}
+        code, out, err = run_cli(infer_args(**flags), capsys)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"ppboot: error: {message}")
+
     def test_ppi_requires_mean(self, capsys):
         code, _, err = run_cli(infer_args(**{"--method": "ppi-mean", "--estimand": "quantile", "--q": "0.5"}), capsys)
         assert code == 2
@@ -415,6 +444,8 @@ class TestStudy:
         pytest.param({"n_grid": ["50"]}, "'n_grid'", id="string-n"),
         pytest.param({"n_grid": [True]}, "'n_grid'", id="bool-n"),
         pytest.param({"methods": ["ppboot", 1]}, "'methods'", id="int-method"),
+        pytest.param({"methods": ["ppboot", "classical", "ppboot"]}, "method 'ppboot' is listed more than once",
+                     id="repeated-method"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [1.5]}}},
                      "'seed_path'", id="unknown-seed-path-float"),
         pytest.param({"data": {"synthetic": {"dgp": "bernoulli_mean", "total_rows": 400, "seed_path": [False]}}},

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import _reference as ref
 import ppboot
 from ppboot import (
     BootstrapConfig,
@@ -36,7 +37,7 @@ from ppboot.baselines import classical_bootstrap_interval, imputed_interval
 from ppboot.boot import ppboot_interval, reported_interval
 from ppboot.data import split_trial
 from ppboot.experiments import _init_worker, _run_cell, _worker_cell, study_from_config
-from ppboot.resampling import PHASE_SPLIT
+from ppboot.resampling import PHASE_SPLIT, PHASE_TUNING
 
 
 def parse_report_csv(path: str) -> list[dict]:
@@ -235,6 +236,14 @@ class TestRunCoverageStudy:
         assert summary.ground_truth > 0  # odds-ratio scale
         for rec in summary.records:
             assert rec.lower > 0
+
+    def test_non_finite_ground_truth_fails(self):
+        g = np.random.default_rng(2)
+        y = 1000.0 + g.standard_normal(100)
+        full = LabeledDataset(g.standard_normal((100, 1)), y, y + 0.1 * g.standard_normal(100))
+        config = _study_config(n_grid=(20,), trials=1, estimand=EstimandSpec("mean", transform="exp"))
+        with pytest.raises(EstimationError, match="^ground truth is not finite after the transform: inf$"):
+            run_coverage_study(full, config)
 
     def test_bad_n_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -516,6 +525,59 @@ class TestSharedMainLoop:
         with pytest.raises(ValueError, match="^labeled outcomes must contain only 0/1 values$"):
             _run_cell(full, config, (0, 0))
 
+    def test_tunes_once_per_cell(self, monkeypatch):
+        # Under lambda_mode "tuned", ppboot and ppboot-tuned both take the tuned multiplier.
+        full = _bern_data(total=400)
+        config = _study_config(n_grid=(50,), trials=1, methods=("ppboot", "ppboot-tuned", "classical"),
+                               bootstrap=BootstrapConfig(B=200, master_seed=5, lambda_mode="tuned"))
+        expected = _per_method_cell(full, config, (0, 0))
+        calls = []
+        tune = boot.tune_lambda
+
+        def counting_tune(sides, tuning_B, stream):
+            calls.append(stream.path)
+            return tune(sides, tuning_B, stream)
+
+        monkeypatch.setattr(boot, "tune_lambda", counting_tune)
+        shared = _run_cell(full, config, (0, 0))
+        assert calls == [(0, 0, PHASE_TUNING)]
+        assert {m: repr(o) for m, o in shared.items()} == {m: repr(o) for m, o in expected.items()}
+        assert shared["ppboot"].lambda_used == shared["ppboot-tuned"].lambda_used != 0.0
+
+    def test_cell_matches_the_reference_oracle(self):
+        spec = SyntheticSpec("gaussian_linear", 300, prediction_model="noisy_truth", rho=0.8)
+        full = generate_synthetic(spec, RngStream(6, (3,)))
+        B, alpha, seed = 200, 0.1, 11
+        config = _study_config(n_grid=(20, 40), trials=2, methods=("ppboot", "ppboot-tuned", "classical"),
+                               bootstrap=BootstrapConfig(B=B, alpha=alpha, master_seed=seed))
+        for cell in [(ni, t) for ni in range(2) for t in range(2)]:
+            out = _run_cell(full, config, cell)
+            labeled, unlabeled = split_trial(full, config.n_grid[cell[0]], RngStream(seed, cell).child(PHASE_SPLIT))
+            y, f, fu = labeled.outcomes, labeled.predictions, unlabeled.predictions
+            lam = ref.tune_lambda(y, f, fu, "mean", B, seed, cell)
+            expected = {
+                method: (*ref.ppboot_interval(None, y, f, None, fu, "mean", m, B, alpha, seed, cell)[:2], m)
+                for method, m in (("ppboot", 1.0), ("ppboot-tuned", lam))
+            }
+            expected["classical"] = (*ref.classical_interval(y, "mean", B, alpha, seed, cell)[:2], 0.0)
+            for method, (lower, upper, lambda_used) in expected.items():
+                ci = out[method]
+                assert ci.lower == pytest.approx(lower, abs=1e-12), (cell, method)
+                assert ci.upper == pytest.approx(upper, abs=1e-12), (cell, method)
+                assert ci.lambda_used == pytest.approx(lambda_used, abs=1e-12), (cell, method)
+
+    def test_non_finite_interval_is_the_methods_failure(self):
+        # lambda * 100 overflows, so the combined values and point are not finite.
+        g = np.random.default_rng(4)
+        y = 100.0 + g.standard_normal(200)
+        full = LabeledDataset(g.standard_normal((200, 1)), y, y + 0.1 * g.standard_normal(200))
+        config = _study_config(n_grid=(30,), trials=1, methods=("ppboot", "classical"),
+                               bootstrap=BootstrapConfig(B=50, lambda_mode="fixed", lambda_value=1e308))
+        out = _run_cell(full, config, (0, 0))
+        assert isinstance(out["ppboot"], EstimationError)
+        assert str(out["ppboot"]).startswith("non-finite interval: ")
+        assert isinstance(out["classical"], ConfidenceInterval)
+
 
 class TestReports:
     def test_csv_round_trip_exact(self, tmp_path):
@@ -574,6 +636,10 @@ class TestStudyFromConfig:
     def test_crossfit_settings_checked_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             _study_config(**overrides)
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="^method 'ppboot' is listed more than once$"):
+            _study_config(methods=("ppboot", "classical", "ppboot"))
 
     def test_mean_only_methods_validated(self):
         with pytest.raises(ValueError):

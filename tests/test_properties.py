@@ -264,7 +264,7 @@ def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
             if est.ok:
                 expected.append(est)
                 break
-    values, dropped = ppboot_draws(interval_resamplers(labeled, unlabeled, spec, 0.0), 0.0, B, stream, RETRIES)
+    [(values, dropped)] = ppboot_draws(interval_resamplers(labeled, unlabeled, spec, 0.0), [0.0], B, stream, RETRIES)
     assert len(values) == len(expected)
     assert all(same_resample_estimate(spec, EstimateValue(v), e) for v, e in zip(values, expected))
     assert dropped == B - len(expected)
@@ -290,7 +290,7 @@ def test_interval_endpoints_are_draw_values(problem, seed, mode):
     if isinstance(ci, str):
         return
     sides = interval_resamplers(labeled, unlabeled, spec, ci.lambda_used)
-    draws, _ = ppboot_draws(sides, ci.lambda_used, cfg.B, stream, RETRIES)
+    [(draws, _)] = ppboot_draws(sides, [ci.lambda_used], cfg.B, stream, RETRIES)
     values = {bits(v) for v in draws}
     assert bits(ci.lower) in values and bits(ci.upper) in values
     assert ci.lower <= ci.upper
