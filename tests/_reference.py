@@ -20,6 +20,16 @@ def stream_gen(master_seed: int, path: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def labeled_indices(n: int, master_seed: int, path: tuple[int, ...]) -> np.ndarray:
+    """The labeled half of the resample drawn at ``path``: ``n`` indices from ``[0, n)`` on that stream."""
+    return stream_gen(master_seed, path).integers(0, n, size=n)
+
+
+def unlabeled_indices(N: int, master_seed: int, path: tuple[int, ...]) -> np.ndarray:
+    """The unlabeled half of the resample drawn at ``path``: ``N`` indices from ``[0, N)`` on its child 1."""
+    return stream_gen(master_seed, tuple(path) + (1,)).integers(0, N, size=N)
+
+
 def nearest_rank(values, q: float) -> float:
     ordered = sorted(float(v) for v in values)
     m = len(ordered)

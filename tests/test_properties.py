@@ -37,6 +37,7 @@ from ppboot import (
     ppboot_interval,
 )
 from ppboot import crossfit, estimators
+from ppboot.boot import resample_estimates
 from ppboot.estimators import (
     ESTIMAND_KINDS,
     OUTCOME_ONLY_KINDS,
@@ -278,6 +279,87 @@ def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
     except EstimationError as exc:
         classical = str(exc)
     assert interval_or_error(labeled, unlabeled, spec, cfg, stream) == classical
+
+
+@st.composite
+def degenerate_prone_problems(draw, kind: str):
+    """A spec of ``kind`` and a small labeled/unlabeled pair on which many resamples degenerate.
+
+    A side's degeneracy turns on the row of its largest feature ``x``,
+    which a resample misses about a third of the time: a second draw of it
+    overflows the mean (its value is 1e308); without it an OLS design is
+    singular (it holds the only 1 of a 0/1 feature), a logistic sample is
+    separated (its outcome alone crosses the order of ``x``), a 2x2 cell is
+    empty (it is the only exposed row of outcome 0) and a Pearson column is
+    constant (0.1 elsewhere).  Quantiles never degenerate.  The labeled
+    predictions of the 0/1 kinds are the outcomes with two of them flipped.
+    """
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, N = draw(st.integers(8, 12)), draw(st.integers(10, 16))
+
+    def side(m: int) -> tuple[np.ndarray, np.ndarray]:
+        x, y = g.standard_normal(m), g.standard_normal(m)
+        rare = x == x.max()
+        if kind == "mean":
+            y[rare] = 1e308
+        elif kind == "ols_coef":
+            x = rare.astype(float)
+        elif kind == "logistic_coef":
+            y = ((x > 0.0) != rare).astype(float)
+        elif kind == "log_odds_ratio":
+            x = ((g.random(m) < 0.5) | rare).astype(float)
+            y = np.where(x == 1.0, ~rare, g.random(m) < 0.5).astype(float)
+        elif kind == "pearson_corr":
+            x = np.where(rare, x, 0.1)
+        return x[:, None], y
+
+    X, y = side(n)
+    if kind in ("logistic_coef", "log_odds_ratio"):
+        f = y.copy()
+        f[:2] = 1.0 - f[:2]
+    else:
+        f = g.standard_normal(n)
+    return EstimandSpec(kind, q=0.3), LabeledDataset(X, y, f), UnlabeledDataset(*side(N))
+
+
+@pytest.mark.parametrize("kind", ESTIMAND_KINDS)
+@settings(PROPERTY_SETTINGS, max_examples=4)
+@given(data=st.data())
+def test_the_resample_loop_keeps_what_a_plain_loop_keeps(kind, data):
+    # A plain loop over the attempts: each side evaluated on its own drawn
+    # rows, an attempt kept when all three are clean, else redrawn at r + 1
+    # up to RETRIES times; the classical value is the first side's at its
+    # first clean attempt.
+    spec, labeled, unlabeled = data.draw(degenerate_prone_problems(kind))
+    seed = data.draw(st.integers(0, 2**32))
+    base = (5, PHASE_MAIN)
+    B, retries = 30, 2
+    expected, classical, degenerate = [], [], 0
+    for b in range(B):
+        first = None
+        for r in range(retries + 1):
+            path = base + (b, r)
+            li = ref.labeled_indices(labeled.n, seed, path)
+            ui = ref.unlabeled_indices(unlabeled.N, seed, path)
+            ests = [evaluate(spec, labeled.features[li], labeled.outcomes[li]),
+                    evaluate(spec, labeled.features[li], labeled.predictions[li]),
+                    evaluate(spec, unlabeled.features[ui], unlabeled.predictions[ui])]
+            if first is None and ests[0].ok:
+                first = ests[0]
+            if all(e.ok for e in ests):
+                expected.append(ests)
+                break
+            degenerate += 1
+        if first is not None:
+            classical.append(first)
+    rows, dropped, got = resample_estimates(interval_resamplers(labeled, unlabeled, spec), B,
+                                            RngStream(seed, base), retries)
+    assert kind == "quantile" or degenerate > 0
+    assert rows.shape == (len(expected), 3) and dropped == B - len(expected)
+    assert all(same_resample_estimate(spec, EstimateValue(v), e)
+               for row, ests in zip(rows.tolist(), expected) for v, e in zip(row, ests))
+    assert len(got) == len(classical)
+    assert all(same_resample_estimate(spec, EstimateValue(v), e) for v, e in zip(got.tolist(), classical))
 
 
 @PROPERTY_SETTINGS
