@@ -25,20 +25,7 @@ multipliers (a study cell serves ``ppboot``, ``ppboot-tuned`` and
    :func:`percentile_interval` give the rest.
 
 Main, classical and tuning draws all come from one loop,
-:func:`resample_estimates`, with one body for one side or three: an
-attempt's labeled indices are drawn once and shared by the labeled sides,
-and its unlabeled indices are drawn only when the unlabeled side reads
-them.  It also returns the classical bootstrap's values on the same
-streams, which a multiplier of 0 takes.  Attempt ``r`` of main iteration
-``b`` draws on the stream ``(..., PHASE_MAIN, b, r)`` and tuning resample
-``b`` on ``(..., PHASE_TUNING, b)``; the loop keys these streams in bulk
-(:func:`resampling.philox_keys`) and resets one generator of its own to
-each, so it draws what :meth:`RngStream.generator` would.  It draws a
-chunk of iterations at a time, sized so that the largest side's count
-matrix stays within ``estimators.CHUNK_BYTES`` (1 MiB, about 13 iterations
-at 9800 merged rows), has each side estimate the whole chunk in one
-reduction, and redraws only the degenerate members.  Mean and quantile evaluate each drawn sample
-in the same loop.
+:func:`resample_estimates`.
 """
 
 from __future__ import annotations
@@ -66,9 +53,9 @@ LAMBDA_MODES = ("off", "fixed", "tuned")
 # Below this, the tuning denominator is treated as zero and lambda falls back to 0.
 TUNING_DENOM_FLOOR = 1e-15
 
-# The largest B and tuning_B.  The loop allocates a (B, sides) float64 array up
-# front: 24 MB at this cap and three sides, while B = 10**15 would ask for 24 PB
-# and fail in that allocation.  The largest B this project runs is 1000.
+# The largest B and tuning_B.  The loop allocates (B, sides) and (B,) float64
+# arrays up front: 32 MB at this cap and three sides, while B = 10**15 would ask
+# for 32 PB and fail in that allocation.  The largest B this project runs is 1000.
 MAX_B = 10**6
 
 # The most iterations whose first attempts' stream keys are derived together:
@@ -184,7 +171,7 @@ def resample_estimates(
     B: int,
     stream: RngStream,
     max_degenerate_retries: int | None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """The bootstrap loop shared by every resampling method.
 
     Iteration ``b``, attempt ``r`` resamples on ``stream.child(b, r)``; with
@@ -192,11 +179,11 @@ def resample_estimates(
     one attempt, on ``stream.child(b)``.  Its labeled indices are drawn once
     and shared by the first one or two sides (the labeled outcomes, then the
     labeled predictions); a third side (the unlabeled predictions) reads the
-    unlabeled indices as they are drawn.  These are the indices
-    :func:`draw_labeled_indices` and :func:`draw_unlabeled_indices` draw on
-    the attempt's stream.  One side is the classical bootstrap, on the same
-    labeled indices.  An attempt with any degenerate estimate is redrawn up
-    to ``max_degenerate_retries`` times, then the iteration is dropped.
+    unlabeled indices, drawn on the attempt stream's ``UNLABELED_TAG`` child,
+    as they are drawn.  One side is the classical bootstrap, on the same
+    labeled indices.  An attempt with any degenerate estimate (a nonzero
+    reason code or a non-finite value) is redrawn up to
+    ``max_degenerate_retries`` times, then the iteration is dropped.
 
     Iterations run in chunks of :func:`estimators.chunk_length`: each side
     estimates a chunk's attempts together, and only the degenerate members
@@ -218,7 +205,8 @@ def resample_estimates(
     n = sides[0].size
     rows = np.empty((B, len(sides)))
     kept = np.zeros(B, dtype=bool)
-    first_ok: list[float | None] = [None] * B
+    classical = np.empty(B)
+    classical_kept = np.zeros(B, dtype=bool)
     chunk = min(chunk_length(sides), KEY_BLOCK)
     # A key block holds whole chunks.
     block = chunk * (KEY_BLOCK // chunk)
@@ -228,8 +216,8 @@ def resample_estimates(
         if start % block == 0:
             first = _attempt_keys(stream, range(start, min(start + block, B)),
                                   None if max_degenerate_retries is None else 0)
-        pending = range(start, min(start + chunk, B))
-        keys = first[start % block:][:len(pending)]
+        pending = np.arange(start, min(start + chunk, B))
+        keys = first[start % block:][:pending.size]
         for r in range(attempts):
             if r:
                 keys = _attempt_keys(stream, pending, r)
@@ -237,20 +225,18 @@ def resample_estimates(
             ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
             ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
                      for side in sides[2:]]
-            retry = []
-            for k, b in enumerate(pending):
-                if first_ok[b] is None and ests[0][k].ok:
-                    first_ok[b] = ests[0][k].value
-                if all(e[k].ok for e in ests):
-                    rows[b] = [e[k].value for e in ests]
-                    kept[b] = True
-                else:
-                    retry.append(b)
-            pending = retry
-            if not pending:
+            values = np.column_stack([v for v, _ in ests])
+            ok = np.column_stack([(codes == 0) & np.isfinite(v) for v, codes in ests])
+            fresh = ok[:, 0] & ~classical_kept[pending]
+            classical[pending[fresh]] = values[fresh, 0]
+            classical_kept[pending[fresh]] = True
+            good = ok.all(axis=1)
+            rows[pending[good]] = values[good]
+            kept[pending[good]] = True
+            pending = pending[~good]
+            if not pending.size:
                 break
-    classical = np.array([v for v in first_ok if v is not None], dtype=np.float64)
-    return rows[kept], B - int(np.count_nonzero(kept)), classical
+    return rows[kept], B - int(np.count_nonzero(kept)), classical[classical_kept]
 
 
 def _combine(estimates, lam: float):

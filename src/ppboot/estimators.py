@@ -43,8 +43,8 @@ values are integers, and whose size times largest magnitude is at most
 values unsorted and gets the same bits; each side is tested once, when it
 is merged (:func:`_sums_exactly`).  Conditions that make
 the target ill-defined on a sample (singular design, separation, constant
-variables) are reported through the degenerate flag rather than raised, so
-bootstrap loops can redraw.
+variables) are reported as reason codes into ``REASONS`` rather than raised,
+so bootstrap loops can redraw.
 """
 
 from __future__ import annotations
@@ -96,6 +96,11 @@ STACK_ROWS = 512
 IRLS_MAX_ITER = 100
 # The relative tolerance of the separation test (_separates).
 SEPARATION_TOL = 1e-10
+
+# The reason of each code the engine returns beside a value; code 0 is a clean estimate.
+REASONS = (None, "non-finite estimate", "constant variable", "singular design", "separation",
+           "constant outcome", "zero cell corrected")
+CODE = {reason: code for code, reason in enumerate(REASONS)}
 
 
 @dataclass(frozen=True)
@@ -370,15 +375,15 @@ def _separates(
     return ((top > 0.0) & (margin.min(axis=-1) >= -SEPARATION_TOL * top)).reshape(-1, w.shape[0]).any(axis=0)
 
 
-def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> EstimateValue:
+def _outcome_kernel(spec: EstimandSpec, y: np.ndarray) -> float:
     """Mean or quantile of the drawn values ``y``, in any order."""
     if spec.kind == "mean":
         # Sorted, so the float sum does not depend on the input order.  An
-        # overflowed sum is not finite, which EstimateValue marks degenerate.
+        # overflowed sum is not finite, which no loop keeps.
         with np.errstate(over="ignore", invalid="ignore"):
-            return EstimateValue(float(np.sum(np.sort(y))) / y.size)
+            return float(np.sum(np.sort(y))) / y.size
     k = nearest_rank_index(spec.q, y.size)
-    return EstimateValue(float(np.partition(y, k)[k]))
+    return float(np.partition(y, k)[k])
 
 
 def _sums_exactly(values: np.ndarray) -> bool:
@@ -394,12 +399,12 @@ def _sums_exactly(values: np.ndarray) -> bool:
     return math.isfinite(top) and values.size * int(top) <= 2**53
 
 
-def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateValue:
-    """Weighted Pearson correlation, centred first: the reference the raw-moment path is screened against."""
+def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, int]:
+    """Weighted Pearson correlation, centred first, and its code: the reference the raw-moment path is screened against."""
     # Exact tests, since a constant column whose mean is inexact has a
     # nonzero centred sum of squares.  The merged rows are sorted by y.
     if y[0] == y[-1] or np.all(x == x[0]):
-        return EstimateValue(float("nan"), "constant variable")
+        return math.nan, CODE["constant variable"]
     # Scaling by a power of two into [-1, 1] is exact, so a normal-range
     # sample keeps its bits, and the squares and their product stay in range
     # at any magnitude.
@@ -413,8 +418,8 @@ def _pearson_two_pass(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> EstimateVa
     wxc = w * xc
     denom = np.sqrt(np.sum(wxc * xc) * np.sum(w * yc * yc))
     if denom == 0.0:  # a guard: after the scaling the squares cannot underflow
-        return EstimateValue(float("nan"), "constant variable")
-    return EstimateValue(float(np.sum(wxc * yc) / denom))
+        return math.nan, CODE["constant variable"]
+    return float(np.sum(wxc * yc) / denom), 0
 
 
 def _row_statistics(kind: str, X: np.ndarray, y: np.ndarray, anchor: np.ndarray | None = None) -> np.ndarray:
@@ -531,11 +536,13 @@ class Resampler:
     """One checked and merged dataset; a resample is a vector of counts over its rows.
 
     Built by :func:`canonical_resampler`.  :meth:`estimates` gives the
-    estimate on each of a chunk of resamples.  For mean and quantile
-    ``values`` holds the sample and each draw is estimated on its own drawn
-    values; ``exact_sum`` marks a mean side that sums its draws unsorted
-    (:func:`_sums_exactly`).  For the other kinds ``X``, ``y`` are the merged rows in key
-    order, ``row_id`` maps each sample row to its merged row, and ``bands``
+    estimate on each of a chunk of resamples, as a value and a reason code
+    into ``REASONS``; calling it gives one :class:`EstimateValue`.  For mean
+    and quantile ``values`` holds the sample and each draw is estimated on
+    its own drawn values; ``exact_sum`` marks a mean side that sums its
+    draws unsorted (:func:`_sums_exactly`).  For the other kinds ``X``, ``y``
+    are the merged rows in key order, ``row_id`` maps each sample row to its
+    merged row, and ``bands``
     holds the rows' statistics (:func:`_row_statistics`) split by
     :func:`_split_bands`.  For logistic, ``anchor`` is the side's own fit
     (zero when that is degenerate), from which the engine's Newton step is
@@ -565,23 +572,29 @@ class Resampler:
 
     def __call__(self, idx: np.ndarray) -> EstimateValue:
         """The estimate on the single resample ``idx``: a chunk of one."""
-        return self.estimates([idx], 1)[0]
+        values, codes = self.estimates([idx], 1)
+        return EstimateValue(float(values[0]), REASONS[codes[0]])
 
-    def estimates(self, draws: Iterable[np.ndarray], count: int) -> list[EstimateValue]:
+    def estimates(self, draws: Iterable[np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray]:
         """The estimate on each of ``count`` resamples, each draw holding its drawn row indices.
 
-        ``draws`` is read once, in order, and no draw is kept, so a caller
-        may generate them as they are read.  The draws' counts over the
-        merged rows form a count matrix, whose product with ``bands`` gives
-        each resample's exact band sums; adding the bands smallest first
-        gives its statistic sums.  Every resample's bits depend on its own
-        counts alone.
+        Returns ``(values, codes)``: float64 estimates and int8 indices into
+        ``REASONS``, code 0 for a clean estimate.  A clean value may still
+        be non-finite (an overflow), which :class:`EstimateValue` and the
+        loop's keep step both treat as degenerate.  ``draws`` is read once,
+        in order, and no draw is kept, so a caller may generate them as they
+        are read.  The draws' counts over the merged rows form a count
+        matrix, whose product with ``bands`` gives each resample's exact band
+        sums; adding the bands smallest first gives its statistic sums.
+        Every resample's bits depend on its own counts alone.
         """
         spec = self.spec
-        if self.exact_sum:  # the sorted sum's bits, without the sort
-            return [EstimateValue(float(self.values.take(idx).sum()) / self.size) for idx in draws]
         if self.values is not None:
-            return [_outcome_kernel(spec, self.values[idx]) for idx in draws]
+            if self.exact_sum:  # the sorted sum's bits, without the sort
+                values = np.fromiter((self.values.take(idx).sum() for idx in draws), np.float64, count) / self.size
+            else:
+                values = np.fromiter((_outcome_kernel(spec, self.values[idx]) for idx in draws), np.float64, count)
+            return values, np.zeros(count, dtype=np.int8)
         counts = np.empty((count, self.rows))
         for k, idx in zip(range(count), draws, strict=True):
             counts[k] = np.bincount(self.row_id[idx], minlength=self.rows)
@@ -592,7 +605,7 @@ class Resampler:
             for rows, values in self.bands:
                 sums = sums + (counts @ values if rows is None else counts[:, rows] @ values)
         if spec.kind == "log_odds_ratio":
-            return [_log_odds_ratio(*cells) for cells in sums.tolist()]
+            return _log_odds_ratio(sums)
         if spec.kind == "pearson_corr":
             return self._pearson(counts, sums)
         return self._regression(counts, sums)
@@ -602,7 +615,7 @@ class Resampler:
         # take() gathers rows several times faster than fancy indexing.
         return self.X.take(drawn, axis=0), self.y.take(drawn), counts.take(drawn)
 
-    def _pearson(self, counts: np.ndarray, sums: np.ndarray) -> list[EstimateValue]:
+    def _pearson(self, counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sx, sy, sxx, syy, sxy = sums.T
         total = float(self.size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -615,16 +628,13 @@ class Resampler:
         # outside the normal range take the centred formula.
         ok = ((cx > PEARSON_CANCELLATION * sxx) & (cy > PEARSON_CANCELLATION * syy)
               & (squares > np.finfo(np.float64).tiny) & np.isfinite(squares) & np.isfinite(value))
-        out = []
-        for k in range(counts.shape[0]):
-            if ok[k]:
-                out.append(EstimateValue(float(value[k])))
-            else:
-                X, y, w = self._drawn(counts[k])
-                out.append(_pearson_two_pass(X[:, 0], y, w))
-        return out
+        codes = np.zeros(counts.shape[0], dtype=np.int8)
+        for k in np.flatnonzero(~ok):
+            X, y, w = self._drawn(counts[k])
+            value[k], codes[k] = _pearson_two_pass(X[:, 0], y, w)
+        return value, codes
 
-    def _regression(self, counts: np.ndarray, sums: np.ndarray) -> list[EstimateValue]:
+    def _regression(self, counts: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         K, p = counts.shape[0], self.X.shape[1]
         i, j = np.triu_indices(p)
         G = np.empty((K, p, p))
@@ -656,8 +666,8 @@ class Resampler:
             # screen or whose steps from the anchor (which may diverge) end in separation.
             fits = [fit_logistic(*self._drawn(counts[k])) if fit is None or fit[1] == "separation" else fit
                     for k, fit in enumerate(fits)]
-        return [EstimateValue(float("nan"), reason) if reason is not None else EstimateValue(float(coef[target]))
-                for coef, reason in fits]
+        return (np.array([math.nan if reason else coef[target] for coef, reason in fits]),
+                np.array([CODE[reason] for _, reason in fits], dtype=np.int8))
 
     def _least_squares(self, counts: np.ndarray) -> tuple[np.ndarray | None, str | None]:
         """The reference least-squares fit on the drawn rows."""
@@ -665,13 +675,14 @@ class Resampler:
         return (None, "singular design") if rank < self.X.shape[1] else (coef, None)
 
 
-def _log_odds_ratio(n11: float, n10: float, n01: float, n00: float) -> EstimateValue:
-    """Log odds ratio of an exact 2x2 table; an empty cell adds 0.5 to every cell and flags."""
-    reason = None
-    if min(n11, n10, n01, n00) == 0.0:
-        n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
-        reason = "zero cell corrected"
-    return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
+def _log_odds_ratio(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log odds ratios and codes of exact 2x2 tables, rows of ``(n11, n10, n01, n00)``.
+
+    A table with an empty cell adds 0.5 to every cell and is flagged.
+    """
+    empty = cells.min(axis=1) == 0.0
+    n11, n10, n01, n00 = np.where(empty[:, None], cells + 0.5, cells).T
+    return np.log((n11 * n00) / (n10 * n01)), np.where(empty, CODE["zero cell corrected"], 0).astype(np.int8)
 
 
 def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -> Resampler:

@@ -7,13 +7,10 @@ order or thread count.  Path components are allocated by convention: the first
 components identify the task (e.g. trial index), followed by a phase tag and
 the iteration number within the phase.
 
-A resample has two halves, each with its own draw function:
-:func:`draw_labeled_indices` draws on the attempt's stream and
-:func:`draw_unlabeled_indices` on its ``UNLABELED_TAG`` child, so the stream
-layout lives in this module alone.
-
-The bootstrap loop draws on the same streams, keyed in bulk: a stream's
-generator is a Philox keyed by ``SeedSequence(master_seed, spawn_key=path)``
+A resample has two halves: its labeled indices are drawn on the attempt's
+stream and its unlabeled indices on that stream's ``UNLABELED_TAG`` child.
+The bootstrap loop keys these streams in bulk: a stream's generator is a
+Philox keyed by ``SeedSequence(master_seed, spawn_key=path)``
 ``.generate_state(2, np.uint64)`` (Salmon et al., SC'11), a pure function of
 ``(master_seed, path)``.  :func:`philox_keys` computes the keys of many
 paths, and of their ``UNLABELED_TAG`` children, in one pass of numpy
@@ -86,24 +83,6 @@ class RngStream:
 # alone), and the unlabeled draws are the same across methods whose labeled
 # sizes differ (cross-fitting vs data splitting).
 UNLABELED_TAG = 1
-
-
-def draw_labeled_indices(n: int, stream: RngStream) -> np.ndarray:
-    """The labeled half of a resample: ``n`` i.i.d. uniform indices from ``[0, n)``, drawn on ``stream``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return stream.generator().integers(0, n, size=n)
-
-
-def draw_unlabeled_indices(N: int, stream: RngStream) -> np.ndarray:
-    """The unlabeled half of a resample: ``N`` i.i.d. uniform indices from ``[0, N)``.
-
-    They are drawn on ``stream.child(UNLABELED_TAG)``, so they do not depend
-    on the labeled size.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    return stream.child(UNLABELED_TAG).generator().integers(0, N, size=N)
 
 
 def _mix(x, y):

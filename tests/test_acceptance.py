@@ -32,7 +32,7 @@ from ppboot import (
     split_trial,
 )
 from ppboot.cli import main as cli_main
-from ppboot.resampling import PHASE_MAIN, PHASE_SPLIT, draw_unlabeled_indices
+from ppboot.resampling import PHASE_MAIN, PHASE_SPLIT
 
 pytestmark = pytest.mark.acceptance
 
@@ -173,7 +173,7 @@ def test_criterion_02_perfect_prediction_collapse():
         [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, estimand), [1.0], B, base)
         expected = []
         for b in range(B):
-            unlabeled_idx = draw_unlabeled_indices(unlabeled.N, base.child(PHASE_MAIN, b, 0))
+            unlabeled_idx = ref.unlabeled_indices(unlabeled.N, base.master_seed, base.child(PHASE_MAIN, b, 0).path)
             expected.append(
                 evaluate(estimand, unlabeled.features[unlabeled_idx],
                          unlabeled.predictions[unlabeled_idx]).value

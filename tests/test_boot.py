@@ -23,7 +23,7 @@ from ppboot import (
 )
 from ppboot import boot, estimators
 from ppboot.boot import resample_estimates
-from ppboot.resampling import PHASE_TUNING, draw_unlabeled_indices
+from ppboot.resampling import PHASE_TUNING
 from conftest import make_pair
 
 MEAN = EstimandSpec("mean")
@@ -71,7 +71,7 @@ class TestPerfectPredictionCollapse:
         [(values, _)] = ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], B, stream)
         expected = []
         for b in range(B):
-            unlabeled_idx = draw_unlabeled_indices(30, stream.child(2, b, 0))
+            unlabeled_idx = ref.unlabeled_indices(30, stream.master_seed, stream.child(2, b, 0).path)
             expected.append(float(np.mean(np.sort(unlabeled.predictions[unlabeled_idx]))))
         assert sorted(values.tolist()) == sorted(expected)
 
@@ -193,7 +193,7 @@ class TestDegenerateHandling:
             size = rows = 5
 
             def estimates(self, draws, count):
-                return [estimators.EstimateValue(math.inf if k % 2 else math.nan) for k, _ in enumerate(draws)]
+                return np.where(np.arange(count) % 2, math.inf, math.nan), np.zeros(count, dtype=np.int8)
 
         rows, dropped, classical = resample_estimates((NonFinite(),), 6, stream, 2)
         assert rows.shape == (0, 1) and dropped == 6 and classical.shape == (0,)

@@ -41,6 +41,7 @@ from ppboot.boot import resample_estimates
 from ppboot.estimators import (
     ESTIMAND_KINDS,
     OUTCOME_ONLY_KINDS,
+    REASONS,
     EstimateValue,
     _pearson_two_pass,
     canonical_resampler,
@@ -48,7 +49,7 @@ from ppboot.estimators import (
     fit_logistic,
     with_intercept,
 )
-from ppboot.resampling import PHASE_MAIN, UNLABELED_TAG, draw_keyed_indices, draw_labeled_indices, philox_keys
+from ppboot.resampling import PHASE_MAIN, UNLABELED_TAG, draw_keyed_indices, philox_keys
 
 VALUES = (-1.5, 0.0, 0.5, 1.0, 2.25)
 BINARY = (0.0, 1.0)
@@ -81,6 +82,12 @@ def same_estimate(a, b) -> bool:
 def close_estimate(a, b, tol: float = 1e-12) -> bool:
     both_nan = math.isnan(a.value) and math.isnan(b.value)
     return a.reason == b.reason and (both_nan or abs(a.value - b.value) <= tol)
+
+
+def engine_estimates(resampler, draws) -> list[EstimateValue]:
+    """``resampler.estimates`` on ``draws``, one :class:`EstimateValue` per resample."""
+    values, codes = resampler.estimates(draws, len(draws))
+    return [EstimateValue(float(v), REASONS[c]) for v, c in zip(values, codes, strict=True)]
 
 
 def same_resample_estimate(spec, a, b) -> bool:
@@ -260,7 +267,7 @@ def test_lambda_zero_is_the_classical_bootstrap(problem, seed):
     expected = []
     for b in range(B):
         for r in range(RETRIES + 1):
-            li = draw_labeled_indices(labeled.n, stream.child(PHASE_MAIN, b, r))
+            li = ref.labeled_indices(labeled.n, seed, stream.child(PHASE_MAIN, b, r).path)
             est = evaluate(spec, labeled.features[li], labeled.outcomes[li])
             if est.ok:
                 expected.append(est)
@@ -473,7 +480,8 @@ def reference_estimate(spec, X, y) -> EstimateValue:
     rows, counts = np.unique(np.column_stack([y, X[:, columns]]) + 0.0, axis=0, return_counts=True)
     y_rows, X_rows, w = rows[:, 0], rows[:, 1:], counts.astype(np.float64)
     if spec.kind == "pearson_corr":
-        return _pearson_two_pass(X_rows[:, 0], y_rows, w)
+        value, code = _pearson_two_pass(X_rows[:, 0], y_rows, w)
+        return EstimateValue(value, REASONS[code])
     design = with_intercept(X_rows) if spec.intercept else X_rows
     if spec.kind == "logistic_coef":
         if y_rows[0] == y_rows[-1]:
@@ -495,10 +503,10 @@ def test_engine_estimate_is_the_same_alone_and_anywhere_in_a_chunk(problem, data
     alone = [resampler(idx) for idx in draws]
     for length in (2, 3, 7):
         chunks = [draws[start:start + length] for start in range(0, len(draws), length)]
-        chunked = [e for chunk in chunks for e in resampler.estimates(chunk, len(chunk))]
+        chunked = [e for chunk in chunks for e in engine_estimates(resampler, chunk)]
         assert all(same_estimate(a, c) for a, c in zip(alone, chunked, strict=True))
     # Reversed, every draw takes another position.
-    reversed_ = resampler.estimates(draws[::-1], len(draws))
+    reversed_ = engine_estimates(resampler, draws[::-1])
     assert all(same_estimate(a, c) for a, c in zip(alone[::-1], reversed_, strict=True))
 
 
@@ -508,7 +516,7 @@ def test_engine_agrees_with_the_reference_formulas(problem, data):
     spec, X, y = problem
     resampler = canonical_resampler(spec, X, y)
     draws = draws_of(data, y.size, 4)
-    for idx, estimate in zip(draws, resampler.estimates(draws, len(draws)), strict=True):
+    for idx, estimate in zip(draws, engine_estimates(resampler, draws), strict=True):
         expected = reference_estimate(spec, X[idx], y[idx])
         if spec.kind == "log_odds_ratio":
             assert same_estimate(estimate, expected)
@@ -700,7 +708,7 @@ class TestLogisticStack:
         assert resampler.rows <= estimators.STACK_ROWS
         sizes = newton_member_steps(monkeypatch)
         calls = counted(monkeypatch, "fit_least_squares")
-        estimates = resampler.estimates(self.draws, len(self.draws))
+        estimates = engine_estimates(resampler, self.draws)
         # Three members stack.  The side itself stops at its first step, so
         # the later steps start with two members; the fallback is singular
         # and takes none.
@@ -715,7 +723,7 @@ class TestLogisticStack:
         draws = [self.draws[k] for k in order]
         for length in (2, 3, 4):
             chunks = [draws[start:start + length] for start in range(0, len(draws), length)]
-            chunked = [e for chunk in chunks for e in resampler.estimates(chunk, len(chunk))]
+            chunked = [e for chunk in chunks for e in engine_estimates(resampler, chunk)]
             assert all(same_estimate(alone[k], e) for k, e in zip(order, chunked, strict=True))
 
 
@@ -741,7 +749,7 @@ def test_anchored_newton_steps_are_fewer_than_from_zero(monkeypatch, rows):
     resampler = canonical_resampler(spec, X, y)
     draws = [g.integers(0, rows, rows) for _ in range(20)]
     sizes = newton_member_steps(monkeypatch)
-    anchored = resampler.estimates(draws, len(draws))
+    anchored = engine_estimates(resampler, draws)
     anchored_steps, sizes[:] = sum(sizes), []
     for idx, estimate in zip(draws, anchored, strict=True):
         assert close_estimate(estimate, reference_estimate(spec, X[idx], y[idx]), LOGISTIC_TOL)
@@ -834,8 +842,8 @@ def test_a_power_of_two_feature_scale_keeps_every_engine_resample(side, data):
     scaled = X.copy()
     scaled[:, j] *= 2.0 ** k
     factor = 2.0 ** k if j == spec.target_index else 1.0
-    plain = canonical_resampler(spec, X, y).estimates(draws, len(draws))
-    for a, b in zip(plain, canonical_resampler(spec, scaled, y).estimates(draws, len(draws)), strict=True):
+    plain = engine_estimates(canonical_resampler(spec, X, y), draws)
+    for a, b in zip(plain, engine_estimates(canonical_resampler(spec, scaled, y), draws), strict=True):
         assert a.reason == b.reason
         assert a.reason is not None or k > 0 or b.value * factor == pytest.approx(a.value, rel=1e-10)
 
@@ -877,11 +885,11 @@ def test_an_integer_mean_side_sums_unsorted_to_the_sorted_bits(values, data):
     assert not canonical_resampler(EstimandSpec("quantile"), None, values).exact_sum
     draws = integer_side_draws(values, data)
     with mock.patch.object(estimators, "_outcome_kernel", wraps=estimators._outcome_kernel) as kernel:
-        got = side.estimates(draws, len(draws))
+        got = engine_estimates(side, draws)
     assert kernel.call_count == 0
     for idx, estimate in zip(draws, got, strict=True):
         # The parent's path: the sorted sum of the drawn values.
-        assert same_estimate(estimate, estimators._outcome_kernel(spec, side.values[idx]))
+        assert estimate.ok and bits(estimate.value) == bits(estimators._outcome_kernel(spec, side.values[idx]))
         assert bits(estimate.value) == bits(float(np.sum(np.sort(values[idx] + 0.0))) / values.size)
 
 

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from ppboot import EstimateValue, RngStream, empirical_quantile
+import _reference as ref
+from ppboot import RngStream, empirical_quantile
 from ppboot.boot import resample_estimates
-from ppboot.resampling import (
-    PHASE_MAIN,
-    draw_keyed_indices,
-    draw_labeled_indices,
-    draw_unlabeled_indices,
-    nearest_rank_index,
-    philox_keys,
-)
+from ppboot.resampling import PHASE_MAIN, draw_keyed_indices, nearest_rank_index, philox_keys
 
 
 class TestRngStream:
@@ -53,13 +47,20 @@ class _Recorder:
 
     def estimates(self, draws, count):
         self.seen += [idx.tolist() for idx in draws]
-        return [EstimateValue(0.0)] * count
+        return np.zeros(count), np.zeros(count, dtype=np.int8)
 
 
 def _loop_draws(sizes):
     sides = tuple(_Recorder(size) for size in sizes)
     resample_estimates(sides, 5, RngStream(9, (4, 2)), 0)
     return [side.seen for side in sides]
+
+
+def _keyed_draws(size, stream, count):
+    """The draws of ``size`` indices on ``stream.child(b)`` for each ``b < count``, as the loop draws them."""
+    keys, _ = philox_keys(stream, np.arange(count)[:, None])
+    generator = np.random.Generator(np.random.Philox(0))
+    return [draw_keyed_indices(generator, key, size) for key in keys.tolist()]
 
 
 class _Fingerprint:
@@ -69,41 +70,34 @@ class _Fingerprint:
         self.size = self.rows = size
 
     def estimates(self, draws, count):
-        return [EstimateValue(float(idx @ np.arange(1, idx.size + 1)), None if idx[0] % 2 else "even")
-                for idx in draws]
+        draws = list(draws)
+        return (np.array([float(idx @ np.arange(1, idx.size + 1)) for idx in draws]),
+                np.array([0 if idx[0] % 2 else 2 for idx in draws], dtype=np.int8))
 
 
 class TestDrawResample:
-    """The two halves of a resample, alone and as the resample loop draws them."""
+    """The two halves of a resample as the resample loop draws them."""
 
     def test_singleton_draw_is_forced(self):
-        labeled_idx, unlabeled_idx = draw_labeled_indices(1, RngStream(0)), draw_unlabeled_indices(1, RngStream(0))
-        assert labeled_idx.tolist() == [0]
-        assert unlabeled_idx.tolist() == [0]
+        assert _loop_draws((1, 1, 1)) == [[[0]] * 5] * 3
 
     def test_determinism(self):
-        a = draw_labeled_indices(5, RngStream(3, (2,))), draw_unlabeled_indices(9, RngStream(3, (2,)))
-        b = draw_labeled_indices(5, RngStream(3, (2,))), draw_unlabeled_indices(9, RngStream(3, (2,)))
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        assert _loop_draws((5, 5, 9)) == _loop_draws((5, 5, 9))
 
     def test_bounds_and_sizes(self):
-        labeled_idx, unlabeled_idx = draw_labeled_indices(5, RngStream(1)), draw_unlabeled_indices(9, RngStream(1))
-        assert labeled_idx.size == 5 and unlabeled_idx.size == 9
-        assert labeled_idx.min() >= 0 and labeled_idx.max() < 5
-        assert unlabeled_idx.min() >= 0 and unlabeled_idx.max() < 9
+        labeled_draws, _, unlabeled_draws = _loop_draws((5, 5, 9))
+        for draws, size in ((labeled_draws, 5), (unlabeled_draws, 9)):
+            assert all(len(idx) == size and 0 <= min(idx) and max(idx) < size for idx in draws)
 
     def test_marginal_uniformity(self):
         # 10000 resamples of size 5: each index frequency within 3 SE of 1/5.
-        counts = np.zeros(5)
-        for b in range(10000):
-            counts += np.bincount(draw_labeled_indices(5, RngStream(11, (b,))), minlength=5)
+        counts = sum(np.bincount(idx, minlength=5) for idx in _keyed_draws(5, RngStream(11), 10000))
         freqs = counts / counts.sum()
         se = np.sqrt(0.2 * 0.8 / counts.sum())
         assert np.all(np.abs(freqs - 0.2) < 3 * se)
 
     def test_streams_never_collide(self):
-        seen = {tuple(draw_labeled_indices(20, RngStream(5, (2, b))).tolist()) for b in range(1000)}
+        seen = {tuple(idx.tolist()) for idx in _keyed_draws(20, RngStream(5, (2,)), 1000)}
         assert len(seen) == 1000
 
     def test_labeled_prefix_matches_labeled_only_draw(self):
@@ -130,13 +124,14 @@ class TestDrawResample:
         for b in range(B):
             first = None
             for r in range(retries + 1):
-                attempt = base.child(PHASE_MAIN, b, r)
-                labeled_idx = draw_labeled_indices(8, attempt)
-                ests = sides[0].estimates([labeled_idx, labeled_idx, draw_unlabeled_indices(30, attempt)], 3)
-                if first is None and ests[0].ok:
-                    first = ests[0].value
-                if all(e.ok for e in ests):
-                    expected.append([e.value for e in ests])
+                attempt = base.child(PHASE_MAIN, b, r).path
+                labeled_idx = ref.labeled_indices(8, base.master_seed, attempt)
+                unlabeled_idx = ref.unlabeled_indices(30, base.master_seed, attempt)
+                values, codes = sides[0].estimates([labeled_idx, labeled_idx, unlabeled_idx], 3)
+                if first is None and codes[0] == 0:
+                    first = values[0]
+                if not codes.any():
+                    expected.append(values.tolist())
                     break
             if first is not None:
                 classical.append(first)
@@ -154,13 +149,8 @@ class TestDrawResample:
         for key, ukey, tail in zip(keys.tolist(), unlabeled_keys.tolist(), [(3, 0), (3, 2**33)]):
             stream = base.child(*tail)
             assert np.array_equal(draw_keyed_indices(generator, key, 50), stream.generator().integers(0, 50, 50))
-            assert np.array_equal(draw_keyed_indices(generator, ukey, 50), draw_unlabeled_indices(50, stream))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            draw_labeled_indices(0, RngStream(0))
-        with pytest.raises(ValueError):
-            draw_unlabeled_indices(0, RngStream(0))
+            assert np.array_equal(draw_keyed_indices(generator, ukey, 50),
+                                  ref.unlabeled_indices(50, stream.master_seed, stream.path))
 
 
 class TestEmpiricalQuantile:
