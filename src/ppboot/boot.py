@@ -263,7 +263,8 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     with unbiased sample moments over the retained triples.  Resample ``b``
     draws on ``stream.child(b)``; degenerate triples are dropped, never
     redrawn.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0, which
-    disables the prediction terms entirely.
+    disables the prediction terms entirely.  Moments that overflow fail
+    tuning.
     """
     if tuning_B < 2:
         raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
@@ -272,11 +273,12 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
     # Contiguous columns: BLAS may sum a strided dot product in another order.
-    # An overflowed moment gives a non-finite multiplier, which reported_interval rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         lab, pred, unl = (col - col.mean() for col in rows.T.copy())
         cov = float(np.dot(pred, lab)) / (m - 1)
         denom = float(np.dot(pred, pred)) / (m - 1) + float(np.dot(unl, unl)) / (m - 1)
+    if not (math.isfinite(cov) and math.isfinite(denom)):
+        raise EstimationError(f"tuning failure: non-finite moments (cov {cov}, denominator {denom})")
     if denom < TUNING_DENOM_FLOOR:
         return 0.0
     return cov / denom

@@ -265,8 +265,11 @@ def cross_ppboot_interval(
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
     fold_of = partition_folds(X.shape[0], K, stream.child(PHASE_SPLIT, FOLD_SPLIT_TAG))
-    models = train_fold_models(X, y, fold_of, learner)
-    labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models)
+    # Outcomes near the float range may overflow a model's arithmetic; the
+    # non-finite predictions that follow fail the dataset's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        models = train_fold_models(X, y, fold_of, learner)
+        labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models)
     labeled = LabeledDataset(X, y, labeled_preds)
     unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
     return ppboot_interval(labeled, unlabeled, spec, cfg, stream)
@@ -294,10 +297,14 @@ def split_ppboot_interval(
     perm = stream.child(PHASE_SPLIT, TRAIN_SPLIT_TAG).generator().permutation(n)
     train_rows = perm[:n_train]
     infer_rows = np.sort(perm[n_train:])
-    try:
-        model = learner.fit(X[train_rows], y[train_rows])
-    except (EstimationError, np.linalg.LinAlgError) as exc:
-        raise EstimationError(f"training failed on the split training set: {exc}") from exc
-    labeled = LabeledDataset(X[infer_rows], y[infer_rows], model(X[infer_rows]))
-    unlabeled = UnlabeledDataset(unlabeled_features, model(np.asarray(unlabeled_features, dtype=np.float64)))
+    # As in cross_ppboot_interval, non-finite predictions fail the dataset's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            model = learner.fit(X[train_rows], y[train_rows])
+        except (EstimationError, np.linalg.LinAlgError) as exc:
+            raise EstimationError(f"training failed on the split training set: {exc}") from exc
+        labeled_preds = model(X[infer_rows])
+        unlabeled_preds = model(np.asarray(unlabeled_features, dtype=np.float64))
+    labeled = LabeledDataset(X[infer_rows], y[infer_rows], labeled_preds)
+    unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
     return ppboot_interval(labeled, unlabeled, spec, cfg, stream)

@@ -248,7 +248,10 @@ def fit_least_squares(design: np.ndarray, y: np.ndarray, w: np.ndarray | None = 
     # frexp(0) has exponent 0: a zero column keeps its scale.
     exponent = np.frexp(np.max(np.abs(design), axis=0))[1]
     cut = np.finfo(np.float64).eps * max(np.sum(w), design.shape[1])
-    beta, _, rank, _ = np.linalg.lstsq(np.ldexp(design, -exponent) * root[:, None], y * root, rcond=cut)
+    # y * root may overflow on outcomes near the float range; callers reject
+    # the non-finite coefficients that follow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, _, rank, _ = np.linalg.lstsq(np.ldexp(design, -exponent) * root[:, None], y * root, rcond=cut)
     return np.ldexp(beta, -exponent), rank
 
 

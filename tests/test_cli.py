@@ -49,6 +49,21 @@ def infer_args(**overrides):
     return out
 
 
+def overflow_files(tmp_path, data: str) -> dict:
+    """``--labeled`` and ``--unlabeled`` flags of small CSVs whose values overflow the arithmetic."""
+    g = np.random.default_rng(12)
+    y, f, fu = {
+        "mean-near-1000": (1000.0 + g.random(8), 1000.0 + g.random(8), 1000.0 + g.random(10)),
+        "outcomes-1e308": (np.resize([1e308, -1e308], 8), g.random(8), g.random(10)),
+        "values-1e160": tuple(1e160 * g.standard_normal(m) for m in (20, 20, 30)),
+    }[data]
+    labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
+    rows = zip(y.tolist(), f.tolist())
+    labeled.write_text("x,y,fhat\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
+    unlabeled.write_text("x,fhat\n" + "".join(f"{i},{b!r}\n" for i, b in enumerate(fu.tolist())))
+    return {"--labeled": str(labeled), "--unlabeled": str(unlabeled)}
+
+
 def _assert_matches_golden(payload, golden_name):
     with open(os.path.join(FIXTURES, golden_name), encoding="utf-8") as fh:
         golden = json.load(fh)
@@ -234,26 +249,32 @@ class TestInfer:
                      id="ppi-mean-on-1e308"),
         pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
                      id="classical-on-1e308"),
-        pytest.param("values-1e160", {"--tune": ""}, "non-finite interval: lower nan, upper nan, point nan",
-                     id="tuned-on-1e160"),
+        pytest.param("values-1e160", {"--tune": ""},
+                     "tuning failure: non-finite moments (cov nan, denominator inf)", id="tuned-on-1e160"),
     ])
     def test_overflow_exits_4_with_one_line(self, tmp_path, capsys, data, flags, message):
-        g = np.random.default_rng(12)
-        y, f, fu = {
-            None: (None, None, None),
-            "mean-near-1000": (1000.0 + g.random(8), 1000.0 + g.random(8), 1000.0 + g.random(10)),
-            "outcomes-1e308": (np.resize([1e308, -1e308], 8), g.random(8), g.random(10)),
-            "values-1e160": tuple(1e160 * g.standard_normal(m) for m in (20, 20, 30)),
-        }[data]
         if data is not None:
-            labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "unlabeled.csv"
-            rows = zip(y.tolist(), f.tolist())
-            labeled.write_text("x,y,fhat\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows)))
-            unlabeled.write_text("x,fhat\n" + "".join(f"{i},{b!r}\n" for i, b in enumerate(fu.tolist())))
-            flags = {"--labeled": str(labeled), "--unlabeled": str(unlabeled), **flags}
+            flags = {**overflow_files(tmp_path, data), **flags}
         code, out, err = run_cli(infer_args(**flags), capsys)
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"ppboot: error: {message}")
+
+    @pytest.mark.parametrize("method", ["ppboot", "classical"])
+    def test_ols_on_outcomes_near_the_float_range_succeeds_without_a_warning(self, tmp_path, capsys, method):
+        flags = {**overflow_files(tmp_path, "outcomes-1e308"), "--estimand": "ols_coef", "--method": method,
+                 "--seed": "1"}
+        code, out, err = run_cli(infer_args(**flags), capsys)
+        assert (code, err) == (0, "")
+        assert list(json.loads(out)) == JSON_KEY_ORDER
+
+    @pytest.mark.parametrize("estimand", ["mean", "ols_coef"])
+    @pytest.mark.parametrize("learner", ["knn", "linear_least_squares"])
+    def test_learner_overflow_prints_only_the_error_line(self, tmp_path, capsys, learner, estimand):
+        flags = {**overflow_files(tmp_path, "outcomes-1e308"), "--estimand": estimand, "--crossfit": "3",
+                 "--learner": learner, "--seed": "1"}
+        code, out, err = run_cli(infer_args(**flags), capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["ppboot: error: predictions contains NaN or infinite entries"]
 
     def test_ppi_requires_mean(self, capsys):
         code, _, err = run_cli(infer_args(**{"--method": "ppi-mean", "--estimand": "quantile", "--q": "0.5"}), capsys)

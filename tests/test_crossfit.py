@@ -22,6 +22,7 @@ from ppboot import (
     train_fold_models,
 )
 from ppboot.crossfit import KNearestLearner, LinearLeastSquaresLearner, LogisticLearner
+from ppboot.errors import ValidationError
 
 MEAN = EstimandSpec("mean")
 
@@ -318,6 +319,14 @@ class TestSplitBaseline:
         with pytest.raises(ValueError):
             split_ppboot_interval(X, np.zeros(10), X, MEAN, BootstrapConfig(B=10),
                                   LinearLeastSquaresLearner(), RngStream(0), 1.0)
+
+    @pytest.mark.parametrize("learner", [KNearestLearner(3), LinearLeastSquaresLearner()], ids=["knn", "linear"])
+    def test_overflowed_predictions_fail_the_check_without_a_warning(self, learner):
+        # The suite turns a numpy warning into an error, so a warning from the
+        # model would surface here instead of the dataset check's error.
+        X = np.arange(8.0)[:, None]
+        with pytest.raises(ValidationError, match="predictions contains NaN or infinite entries"):
+            split_ppboot_interval(X, np.full(8, 1e308), 1e3 * X, MEAN, BootstrapConfig(B=10), learner, RngStream(0))
 
 
 class TestLearnerSpec:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ class TestWorkerProcesses:
         subprocess.run([sys.executable, "-c", _START_METHOD_SCRIPT, start_method, str(tmp_path / "workers")],
                        env=env, check=True)
         for path in local.values():
-            assert (tmp_path / "workers" / os.path.basename(path)).read_bytes() == open(path, "rb").read()
+            assert (tmp_path / "workers" / os.path.basename(path)).read_bytes() == Path(path).read_bytes()
 
     def test_failures_cross_the_process_boundary(self):
         config = _study_config(n_grid=(40,), trials=20, methods=("imputed", "classical"),
@@ -373,7 +374,7 @@ class TestWorkerProcesses:
         blobs = []
         for threads in (1, 2):
             paths = write_reports(run_coverage_study(full, config, threads=threads), str(tmp_path / str(threads)))
-            blobs.append({key: open(path, "rb").read() for key, path in paths.items()})
+            blobs.append({key: Path(path).read_bytes() for key, path in paths.items()})
         assert blobs[0] == blobs[1]
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch, tmp_path):
@@ -389,7 +390,7 @@ class TestWorkerProcesses:
         blobs = []
         for threads in (1, 4):
             paths = write_reports(run_coverage_study(full, config, threads=threads), str(tmp_path / str(threads)))
-            blobs.append({key: open(path, "rb").read() for key, path in paths.items()})
+            blobs.append({key: Path(path).read_bytes() for key, path in paths.items()})
         assert blobs[0] == blobs[1]
 
     def test_cells_run_in_child_processes(self, monkeypatch):
@@ -593,7 +594,7 @@ class TestReports:
         pa = write_reports(run_coverage_study(full, config), str(tmp_path / "a"))
         pb = write_reports(run_coverage_study(full, config, threads=3), str(tmp_path / "b"))
         for key in pa:
-            assert open(pa[key], "rb").read() == open(pb[key], "rb").read()
+            assert Path(pa[key]).read_bytes() == Path(pb[key]).read_bytes()
 
 
 class TestStudyFromConfig:
