@@ -303,8 +303,6 @@ def split_ppboot_interval(
             model = learner.fit(X[train_rows], y[train_rows])
         except (EstimationError, np.linalg.LinAlgError) as exc:
             raise EstimationError(f"training failed on the split training set: {exc}") from exc
-        labeled_preds = model(X[infer_rows])
-        unlabeled_preds = model(np.asarray(unlabeled_features, dtype=np.float64))
-    labeled = LabeledDataset(X[infer_rows], y[infer_rows], labeled_preds)
-    unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
+        labeled = LabeledDataset(X[infer_rows], y[infer_rows], model(X[infer_rows]))
+        unlabeled = UnlabeledDataset(unlabeled_features, model(np.asarray(unlabeled_features, dtype=np.float64)))
     return ppboot_interval(labeled, unlabeled, spec, cfg, stream)

@@ -335,8 +335,8 @@ def degenerate_prone_problems(draw, kind: str):
 def test_the_resample_loop_keeps_what_a_plain_loop_keeps(kind, data):
     # A plain loop over the attempts: each side evaluated on its own drawn
     # rows, an attempt kept when all three are clean, else redrawn at r + 1
-    # up to RETRIES times; the classical value is the first side's at its
-    # first clean attempt.
+    # up to ``retries`` times; the classical value is the first side's at
+    # its first clean attempt.
     spec, labeled, unlabeled = data.draw(degenerate_prone_problems(kind))
     seed = data.draw(st.integers(0, 2**32))
     base = (5, PHASE_MAIN)
