@@ -13,6 +13,8 @@ from ppboot import (
     LabeledDataset,
     LearnerSpec,
     RngStream,
+    TrialConfig,
+    UnlabeledDataset,
     assemble_cross_predictions,
     classical_bootstrap_interval,
     cross_ppboot_interval,
@@ -23,6 +25,7 @@ from ppboot import (
 )
 from ppboot.crossfit import KNearestLearner, LinearLeastSquaresLearner, LogisticLearner
 from ppboot.errors import ValidationError
+from ppboot.experiments import _run_method
 
 MEAN = EstimandSpec("mean")
 
@@ -345,3 +348,36 @@ class TestLearnerSpec:
             LearnerSpec("forest")
         with pytest.raises(ValueError):
             LearnerSpec("knn", k=0)
+
+
+class TestLearnerPins:
+    """Each learner kind's interval on one seeded problem, recorded as literals.
+
+    The intervals run through the study's dispatch of its learner-based
+    methods, which takes a ``LearnerSpec`` and calls ``cross_ppboot_interval``
+    (K=3) or ``split_ppboot_interval`` with B=50.
+    """
+
+    @pytest.mark.parametrize("method, learner, binary, expected", [
+        ("cross-ppboot", LearnerSpec("linear_least_squares"), False,
+         (-0.3306407203616308, 0.539358490418679, 0.16906224141644288)),
+        ("cross-ppboot", LearnerSpec("logistic_irls"), True,
+         (0.4137009536622215, 0.7141752391769045, 0.5561009766217351)),
+        ("cross-ppboot", LearnerSpec("knn", k=4), False,
+         (-0.5938985847324304, 0.42204935320857, -0.014947361458835184)),
+        ("split-ppboot", LearnerSpec("knn", k=1), False,
+         (-1.0455657375226493, 0.1541813631035313, -0.3866875900980001)),
+    ], ids=["cross-linear", "cross-logistic", "cross-knn", "split-knn1"])
+    def test_interval_is_the_recorded_one(self, method, learner, binary, expected):
+        g = np.random.default_rng(60)
+        X = g.standard_normal((30, 2))
+        y = X[:, 0] - 0.5 * X[:, 1] + g.standard_normal(30)
+        Xu = g.standard_normal((45, 2))
+        if binary:
+            y = (y > 0).astype(float)
+        config = TrialConfig(n_grid=(30,), trials=1, methods=(method,), estimand=MEAN,
+                             bootstrap=BootstrapConfig(B=50), crossfit_k=3, learner=learner)
+        ci = _run_method(method, LabeledDataset(X, y, np.zeros(30)), UnlabeledDataset(Xu, np.zeros(45)),
+                         config, RngStream(61, (2,)))
+        assert (ci.lower, ci.upper, ci.point_estimate) == pytest.approx(expected, abs=1e-12)
+        assert ci.degenerate_iterations == 0
