@@ -29,7 +29,6 @@ from .crossfit import (
     LearnerSpec,
     assemble_cross_predictions,
     cross_ppboot_interval,
-    make_learner,
     partition_folds,
     split_ppboot_interval,
     train_fold_models,
@@ -98,7 +97,6 @@ __all__ = [
     "imputed_interval",
     "interval_resamplers",
     "load_csv",
-    "make_learner",
     "partition_folds",
     "ppboot_draws",
     "ppboot_interval",

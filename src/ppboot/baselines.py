@@ -26,9 +26,6 @@ def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
     with np.errstate(over="ignore", invalid="ignore"):
         center = float(np.mean(y))
         sd = float(np.std(y, ddof=1))
-    reason = None
-    if sd == 0.0:
-        reason = "zero variance"
     half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * sd / math.sqrt(y.size)
     return ConfidenceInterval(
         lower=center - half,
@@ -37,7 +34,6 @@ def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
         lambda_used=0.0,
         degenerate_iterations=0,
         alpha=alpha,
-        degenerate_reason=reason,
     )
 
 

@@ -13,17 +13,7 @@ the variance-minimizing multiplier from an initial bootstrap on disjoint
 streams.  Every percentile-bootstrap interval comes from
 :func:`ppboot_intervals`, on one interval's sides for any number of
 multipliers (a study cell serves ``ppboot``, ``ppboot-tuned`` and
-``classical`` together), in these steps:
-
-1. :func:`interval_resamplers` (the caller's) checks and merges each side
-   (labeled outcomes, labeled predictions, unlabeled predictions) once; at
-   ``lam == 0`` only the labeled outcomes.
-2. :func:`tune_lambda` estimates the multiplier, once for all tuned ones.
-3. :func:`ppboot_draws` runs the main loop once, for every multiplier.
-4. Per multiplier, :func:`require_retained` fails an interval that kept
-   under half of its iterations; :func:`ppboot_point_estimate` and
-   :func:`percentile_interval` give the rest.
-
+``classical`` together); README "Power tuning" runs its steps by hand.
 Main, classical and tuning draws all come from one loop,
 :func:`resample_estimates`.
 """
@@ -126,7 +116,6 @@ class ConfidenceInterval:
     lambda_used: float
     degenerate_iterations: int
     alpha: float
-    degenerate_reason: str | None = None
 
     @property
     def width(self) -> float:

@@ -17,7 +17,7 @@ import sys
 from . import __version__
 from .boot import BootstrapConfig, ppboot_interval, reported_interval
 from .baselines import classical_bootstrap_interval, imputed_interval, ppi_mean_interval
-from .crossfit import LEARNER_KINDS, LearnerSpec, cross_ppboot_interval, make_learner
+from .crossfit import LEARNER_KINDS, LearnerSpec, cross_ppboot_interval
 from .data import load_csv, read_table
 from .errors import DataError, EstimationError
 from .estimators import ESTIMAND_KINDS, REPORT_TRANSFORMS, EstimandSpec
@@ -139,8 +139,7 @@ def cmd_infer(args) -> int:
     if args.crossfit is not None:
         features, outcomes, _ = read_table(args.labeled, schema, need_outcome=True, need_prediction=False)
         unl_features, _, _ = read_table(args.unlabeled, schema, need_outcome=False, need_prediction=False)
-        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit,
-                                   make_learner(learner_spec), stream)
+        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit, learner_spec, stream)
     elif args.method == "ppboot":
         labeled = load_csv(args.labeled, schema, expect="labeled")
         unlabeled = load_csv(args.unlabeled, schema, expect="unlabeled")

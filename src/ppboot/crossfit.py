@@ -6,12 +6,8 @@ excluded its fold, and each unlabeled point by the average of all K models.
 A data-splitting baseline that spends a fraction of the labeled data on
 training a single model is provided for comparison.
 
-The k-nearest-neighbour learner is brute force: a query chunk's squared
-distances to every training row are built one feature at a time, as a
-(queries x training rows) plane of ``(q_j - x_j)²`` per feature, and the
-planes are added in the order numpy's pairwise summation adds a contiguous
-axis.  So every distance is bitwise ``np.sum((Q[:, None] - X[None]) ** 2,
-axis=2)``, without the (queries x training rows x features) tensor.
+The k-nearest-neighbour learner is brute force; README "Cross-fitting" says
+how its chunked distances keep the bits of the full distance tensor.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ TRAIN_SPLIT_TAG = 2
 
 LEARNER_KINDS = ("linear_least_squares", "logistic_irls", "knn")
 
-# KNearestLearner.predict takes queries in chunks whose (queries x training
+# A kNN predictor takes queries in chunks whose (queries x training
 # rows) planes, as many as are alive at once (_live_planes), hold about this
 # many float64s (1 MB).  The planes are re-read once per feature, so they
 # should fit in a core's cache: at 3 features and 180 training rows, 1 MB
@@ -61,28 +57,21 @@ class LearnerSpec:
         check_config(raw, {"kind": (str,), "k": (int,)}, "learner")
         return cls(**raw)
 
-
-class LinearLeastSquaresLearner:
-    """Ordinary least squares with an intercept."""
-
     def fit(self, features, outcomes) -> Predictor:
+        """Train this kind's model on ``features`` and ``outcomes``, and return its predictor.
+
+        ``linear_least_squares`` is least squares with an intercept,
+        ``logistic_irls`` logistic regression with an intercept that predicts
+        class-1 probabilities, and ``knn`` the mean outcome of the ``k``
+        nearest training rows.
+        """
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(outcomes, dtype=np.float64)
-        beta, _ = fit_least_squares(with_intercept(X), y)
-
-        def predict(queries: np.ndarray) -> np.ndarray:
-            Q = np.asarray(queries, dtype=np.float64)
-            return Q @ beta[:-1] + beta[-1]
-
-        return predict
-
-
-class LogisticLearner:
-    """Logistic regression (with intercept); predicts class-1 probabilities."""
-
-    def fit(self, features, outcomes) -> Predictor:
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(outcomes, dtype=np.float64)
+        if self.kind == "knn":
+            return _knn_predictor(X, y, self.k)
+        if self.kind == "linear_least_squares":
+            beta, _ = fit_least_squares(with_intercept(X), y)
+            return lambda queries: np.asarray(queries, dtype=np.float64) @ beta[:-1] + beta[-1]
         if not np.all((y == 0.0) | (y == 1.0)):
             raise EstimationError("logistic learner requires 0/1 outcomes")
         if np.all(y == y[0]):
@@ -90,12 +79,7 @@ class LogisticLearner:
         beta, reason = fit_logistic(with_intercept(X), y)
         if reason is not None:
             raise EstimationError(f"logistic learner failed: {reason}")
-
-        def predict(queries: np.ndarray) -> np.ndarray:
-            Q = np.asarray(queries, dtype=np.float64)
-            return _sigmoid(Q @ beta[:-1] + beta[-1])
-
-        return predict
+        return lambda queries: _sigmoid(np.asarray(queries, dtype=np.float64) @ beta[:-1] + beta[-1])
 
 
 def _pairwise_planes(plane: Callable[[int], np.ndarray], lo: int, hi: int) -> np.ndarray:
@@ -144,46 +128,29 @@ def _live_planes(d: int) -> int:
     return 3 if d < 8 else 10
 
 
-class KNearestLearner:
+def _knn_predictor(X: np.ndarray, y: np.ndarray, k: int) -> Predictor:
     """Mean outcome of the k nearest training rows (Euclidean, brute force)."""
+    k = min(k, X.shape[0])
+    d = X.shape[1]
+    columns = np.ascontiguousarray(X.T)  # d x n: one contiguous row per feature
+    chunk = max(1, KNN_CHUNK_ELEMENTS // (max(1, X.shape[0]) * _live_planes(d)))
 
-    def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+    def predict(queries: np.ndarray) -> np.ndarray:
+        Q = np.asarray(queries, dtype=np.float64)
+        out = np.empty(Q.shape[0])
+        for start in range(0, Q.shape[0], chunk):
+            block = Q[start:start + chunk]
 
-    def fit(self, features, outcomes) -> Predictor:
-        X = np.asarray(features, dtype=np.float64)
-        y = np.asarray(outcomes, dtype=np.float64)
-        k = min(self.k, X.shape[0])
-        d = X.shape[1]
-        columns = np.ascontiguousarray(X.T)  # d x n: one contiguous row per feature
-        chunk = max(1, KNN_CHUNK_ELEMENTS // (max(1, X.shape[0]) * _live_planes(d)))
+            def plane(j: int) -> np.ndarray:
+                diff = block[:, j, None] - columns[j]
+                return np.multiply(diff, diff, out=diff)
 
-        def predict(queries: np.ndarray) -> np.ndarray:
-            Q = np.asarray(queries, dtype=np.float64)
-            out = np.empty(Q.shape[0])
-            for start in range(0, Q.shape[0], chunk):
-                block = Q[start:start + chunk]
+            d2 = _pairwise_planes(plane, 0, d) if d else np.zeros((block.shape[0], X.shape[0]))
+            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            out[start:start + chunk] = np.mean(y[nearest], axis=1)
+        return out
 
-                def plane(j: int) -> np.ndarray:
-                    diff = block[:, j, None] - columns[j]
-                    return np.multiply(diff, diff, out=diff)
-
-                d2 = _pairwise_planes(plane, 0, d) if d else np.zeros((block.shape[0], X.shape[0]))
-                nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-                out[start:start + chunk] = np.mean(y[nearest], axis=1)
-            return out
-
-        return predict
-
-
-def make_learner(spec: LearnerSpec):
-    if spec.kind == "linear_least_squares":
-        return LinearLeastSquaresLearner()
-    if spec.kind == "logistic_irls":
-        return LogisticLearner()
-    return KNearestLearner(spec.k)
+    return predict
 
 
 def partition_folds(n: int, K: int, stream: RngStream) -> np.ndarray:

@@ -5,46 +5,16 @@ the one argument check: wrong shapes, empty input or non-binary data raise
 ``ValueError`` there.  :func:`canonical_resampler` is the one place where row
 order is decided: for the feature-keyed estimands (Pearson, log odds ratio,
 OLS, logistic) it merges the rows that tie on their key into sorted rows, and
-a resample becomes a vector of counts over them (Efron's multinomial
-weights).  :func:`evaluate` is the identity resample.
-
-The feature-keyed estimands run a chunked engine (:class:`Resampler`).  Each
-merged row carries the statistics whose count-weighted sums determine the
-estimate: one-hot cells for the log odds ratio, raw moments for Pearson, and
-for OLS the upper triangle of ``x xᵀ`` plus ``x y``.  For logistic they are
-those of one Newton step from the side's own fit β̂ (its anchor, zero when
-that fit is degenerate): the upper triangle of ``x xᵀ`` weighted by the
-fitted ``μ̂ (1 - μ̂)``, plus ``x (y - μ̂)``.  These are split once into bands
-on a fixed power-of-two grid of width ``52 - bit_length(sample size)`` bits,
-after the error-free transformation of Ozaki, Ogita, Oishi and Rump
-(Numerical Algorithms 59, 2012): integer counts times one band sum exactly
-in any order, so one matrix product of a chunk's count matrix with the bands
-gives every resample's sums, bit for bit the same alone or in any chunk and
-at any BLAS thread count (and, but for logistic, whose anchor is the side's,
-on the full side or on a fresh side of the drawn rows).  Adding the band
-sums smallest first gives the statistics.  Each resample then gets a small
-batched solve, and a screen sends an ill-conditioned one to the reference
-formula alone: a Gram matrix whose scaled condition fails
-(:func:`_solve_gram`) to :func:`fit_least_squares` (for logistic, to
-:func:`fit_logistic` from zero, which also has the last word on separation
-found from the anchor), a Pearson moment that cancels to the centred
-two-pass formula.  So every degeneracy reason comes from the reference rule.
-Logistic's Newton steps run in :func:`_irls`, the one IRLS loop, whose one
-separation rule reads no coefficient's size: on a side of at most
-``STACK_ROWS`` merged rows as one stack over the chunk's resamples, on the
-merged rows, and on a larger side per resample, on its drawn rows.  Each
-member stops on its own, so either way a resample's bits depend on its
-counts alone.
-
-Mean and quantile stay on the drawn values: the mean's bits are those of the
-sorted sum, which a weighted sum would not reproduce.  A mean side whose
-values are integers, and whose size times largest magnitude is at most
-``2**53``, has every partial sum of a resample exact, so it sums the drawn
-values unsorted and gets the same bits; each side is tested once, when it
-is merged (:func:`_sums_exactly`).  Conditions that make
-the target ill-defined on a sample (singular design, separation, constant
-variables) are reported as reason codes into ``REASONS`` rather than raised,
-so bootstrap loops can redraw.
+a resample becomes a vector of counts over them; mean and quantile keep the
+drawn values.  :class:`Resampler` reduces a chunk of resamples to a value
+array and a reason-code array, and :func:`evaluate` is the identity resample.
+Conditions that make the target ill-defined on a sample (singular design,
+separation, constant variables) are reason codes into ``REASONS``, not
+exceptions, so the bootstrap loop can redraw.  The engine's screens send an
+ill-conditioned resample to the reference formula alone
+(:func:`fit_least_squares`, :func:`fit_logistic`, :func:`_pearson_two_pass`),
+so its code is the one that formula gives.  README "How a resample is
+computed" explains the band grid, the screens and the separation rule.
 """
 
 from __future__ import annotations

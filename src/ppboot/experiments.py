@@ -33,7 +33,7 @@ from .boot import (
     reported_interval,
     transform_value,
 )
-from .crossfit import LearnerSpec, cross_ppboot_interval, make_learner, split_ppboot_interval
+from .crossfit import LearnerSpec, cross_ppboot_interval, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
 from .errors import NUMBER, EstimationError, check_config
 from .estimators import EstimandSpec, evaluate
@@ -290,16 +290,15 @@ def _run_method(
         return ppi_mean_interval(labeled, unlabeled, cfg.alpha)
     if method == "clt-mean":
         return classical_clt_mean_interval(labeled.outcomes, cfg.alpha)
-    learner = make_learner(config.learner)
     if method == "cross-ppboot":
         return cross_ppboot_interval(
             labeled.features, labeled.outcomes, unlabeled.features,
-            spec, cfg, config.crossfit_k, learner, stream,
+            spec, cfg, config.crossfit_k, config.learner, stream,
         )
     if method == "split-ppboot":
         return split_ppboot_interval(
             labeled.features, labeled.outcomes, unlabeled.features,
-            spec, cfg, learner, stream, config.split_fraction,
+            spec, cfg, config.learner, stream, config.split_fraction,
         )
     raise ValueError(f"unknown method {method!r}")
 

@@ -63,8 +63,8 @@ class RngStream:
         if not (0 <= int(self.master_seed) <= _MAX_SEED):
             raise ValueError(f"master_seed must be in [0, 2^64): got {self.master_seed}")
         path = tuple(int(c) for c in self.path)
-        if any(c < 0 for c in path):
-            raise ValueError(f"path components must be non-negative: got {path}")
+        if not all(0 <= c <= _MASK32 for c in path):
+            raise ValueError(f"path components must be in [0, 2^32): got {path}")
         object.__setattr__(self, "path", path)
 
     def child(self, *components: int) -> "RngStream":
@@ -126,13 +126,17 @@ def _prefix_pool(stream: RngStream) -> tuple[list[int], int]:
     return pool, h
 
 
-def _hashed_keys(stream: RngStream, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of ``stream.child(*row)`` and of its ``UNLABELED_TAG`` child, one row of ``words`` each.
+def philox_keys(stream: RngStream, tails) -> tuple[np.ndarray, np.ndarray]:
+    """The Philox keys of ``stream.child(*tail)`` and of its ``UNLABELED_TAG`` child, for each row of ``tails``.
 
-    ``words`` is a (K, m) uint32 array.  Each column is hashed into every
-    row's four pool words at once; uint32 arrays wrap as the hash does, and
-    no step touches a numpy scalar, whose wrap-around would warn.
+    ``tails`` is a (K, m) array of path components in [0, 2**32); both
+    results are (K, 2) uint64 arrays, each row equal to
+    ``SeedSequence(master_seed, spawn_key=path).generate_state(2, np.uint64)``.
+    Each column is hashed into every row's four pool words at once; uint32
+    arrays wrap as the hash does, and no step touches a numpy scalar, whose
+    wrap-around would warn.
     """
+    words = np.asarray(tails).astype(np.uint32)
     pool, h = _prefix_pool(stream)
     pool = np.array(pool, dtype=np.uint32)[:, None]
     m = words.shape[1]
@@ -154,27 +158,6 @@ def _hashed_keys(stream: RngStream, words: np.ndarray) -> tuple[np.ndarray, np.n
     keys = key()
     absorb(m, UNLABELED_TAG)
     return keys, key()
-
-
-def philox_keys(stream: RngStream, tails) -> tuple[np.ndarray, np.ndarray]:
-    """The Philox keys of ``stream.child(*tail)`` and of its ``UNLABELED_TAG`` child, for each row of ``tails``.
-
-    ``tails`` is a (K, m) array of non-negative path components; both
-    results are (K, 2) uint64 arrays, each row equal to
-    ``SeedSequence(master_seed, spawn_key=path).generate_state(2, np.uint64)``.
-    A path with a component of 2**32 or more, which ``SeedSequence`` splits
-    into several words, takes ``SeedSequence`` itself.
-    """
-    tails = np.asarray(tails)
-    wide = np.any(tails >= 2**32, axis=1) | any(c >> 32 for c in stream.path)
-    keys = np.empty((2, len(tails), 2), dtype=np.uint64)
-    for k in np.flatnonzero(wide):
-        path = stream.child(*tails[k].tolist()).path
-        for j, spawn_key in enumerate((path, path + (UNLABELED_TAG,))):
-            keys[j, k] = np.random.SeedSequence(stream.master_seed, spawn_key=spawn_key).generate_state(2, np.uint64)
-    if not wide.all():
-        keys[0, ~wide], keys[1, ~wide] = _hashed_keys(stream, tails[~wide].astype(np.uint32))
-    return keys[0], keys[1]
 
 
 def draw_keyed_indices(generator: np.random.Generator, key, size: int) -> np.ndarray:

@@ -50,10 +50,9 @@ class TestNormalQuantile:
 
 
 class TestCltMeanInterval:
-    def test_constant_vector_flagged_zero_width(self):
+    def test_constant_vector_gives_zero_width(self):
         ci = classical_clt_mean_interval([2.0, 2.0, 2.0], 0.1)
-        assert ci.lower == ci.upper == 2.0
-        assert ci.degenerate_reason == "zero variance"
+        assert ci.lower == ci.upper == ci.point_estimate == 2.0
 
     def test_width_vanishes_as_alpha_approaches_one(self):
         y = [0.0, 1.0, 2.0, 3.0]

@@ -18,12 +18,10 @@ from ppboot import (
     assemble_cross_predictions,
     classical_bootstrap_interval,
     cross_ppboot_interval,
-    make_learner,
     partition_folds,
     split_ppboot_interval,
     train_fold_models,
 )
-from ppboot.crossfit import KNearestLearner, LinearLeastSquaresLearner, LogisticLearner
 from ppboot.errors import ValidationError
 from ppboot.experiments import _run_method
 
@@ -85,7 +83,7 @@ class TestTrainFoldModels:
         X = g.standard_normal((30, 2))
         y = X @ np.array([2.0, -1.0]) + 0.5
         folds = partition_folds(30, 5, RngStream(5))
-        models = train_fold_models(X, y, folds, LinearLeastSquaresLearner())
+        models = train_fold_models(X, y, folds, LearnerSpec("linear_least_squares"))
         queries = g.standard_normal((8, 2))
         expected = queries @ np.array([2.0, -1.0]) + 0.5
         for model in models:
@@ -107,7 +105,7 @@ class TestTrainFoldModels:
         X = g.standard_normal((15, 2))
         y = g.standard_normal(15)
         folds = partition_folds(15, 3, RngStream(8))
-        models = train_fold_models(X, y, folds, KNearestLearner(1))
+        models = train_fold_models(X, y, folds, LearnerSpec("knn", 1))
         for j, model in enumerate(models):
             rows = np.flatnonzero(folds != j)
             assert np.allclose(model(X[rows]), y[rows], atol=1e-12)
@@ -133,31 +131,36 @@ class TestLogisticLearnerFailures:
     def test_separated_data_names_separation(self):
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         with pytest.raises(EstimationError, match="separation"):
-            LogisticLearner().fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
+            LearnerSpec("logistic_irls").fit(X, np.array([0.0, 0.0, 1.0, 1.0]))
 
     def test_duplicated_column_names_singular_design(self):
         x = np.array([0.3, -1.2, 0.8, 2.0, -0.4, 1.1])
         with pytest.raises(EstimationError, match="singular design"):
-            LogisticLearner().fit(np.column_stack([x, x]), np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
+            LearnerSpec("logistic_irls").fit(np.column_stack([x, x]), np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
+
+    def test_one_outcome_class_stays_an_estimation_error(self):
+        with pytest.raises(EstimationError, match="both outcome classes"):
+            LearnerSpec("logistic_irls").fit(np.arange(4.0)[:, None], np.ones(4))
 
     def test_fold_prefix_kept(self):
         x = np.arange(8.0)
         folds = partition_folds(8, 2, RngStream(12))
         with pytest.raises(EstimationError, match=r"training failed on fold 0: .*singular design"):
-            train_fold_models(np.column_stack([x, x]), np.array([0, 1, 0, 1, 1, 0, 1, 0.0]), folds, LogisticLearner())
+            train_fold_models(np.column_stack([x, x]), np.array([0, 1, 0, 1, 1, 0, 1, 0.0]), folds,
+                              LearnerSpec("logistic_irls"))
 
     def test_split_prefix_kept(self):
         x = np.linspace(-2.0, 2.0, 12)[:, None]
         with pytest.raises(EstimationError, match=r"^training failed on the split training set: .*separation"):
             split_ppboot_interval(x, (x[:, 0] > 0).astype(float), x, MEAN, BootstrapConfig(B=10),
-                                  LogisticLearner(), RngStream(3))
+                                  LearnerSpec("logistic_irls"), RngStream(3))
 
 
 class TestKNearestPredict:
     def test_chunked_rows_match_one_query_at_a_time(self):
         g = np.random.default_rng(40)
         X = np.round(g.standard_normal((500, 5)), 1)
-        predict = KNearestLearner(5).fit(X, g.standard_normal(500))
+        predict = LearnerSpec("knn", 5).fit(X, g.standard_normal(500))
         queries = np.round(g.standard_normal((250, 5)), 1)  # several chunks, ragged tail
         one_by_one = np.concatenate([predict(queries[i:i + 1]) for i in range(250)])
         assert predict(queries).tobytes() == one_by_one.tobytes()
@@ -166,7 +169,7 @@ class TestKNearestPredict:
         # The full query x training x feature tensor would take
         # 5000 * 500 * 5 * 8 bytes = 100 MB.
         g = np.random.default_rng(41)
-        predict = KNearestLearner(5).fit(g.standard_normal((500, 5)), g.standard_normal(500))
+        predict = LearnerSpec("knn", 5).fit(g.standard_normal((500, 5)), g.standard_normal(500))
         queries = g.standard_normal((5000, 5))
         tracemalloc.start()
         try:
@@ -181,7 +184,7 @@ class TestKNearestPredict:
         # At 40 features the tensor would take 5000 * 500 * 40 * 8 bytes =
         # 800 MB, and predict keeps ten planes alive at once.
         g = np.random.default_rng(42)
-        predict = KNearestLearner(5).fit(g.standard_normal((500, 40)), g.standard_normal(500))
+        predict = LearnerSpec("knn", 5).fit(g.standard_normal((500, 40)), g.standard_normal(500))
         queries = g.standard_normal((5000, 40))
         tracemalloc.start()
         try:
@@ -225,7 +228,7 @@ class TestAssemble:
         y = g.standard_normal(n)
         Xu = g.standard_normal((4, 2))
         folds = partition_folds(n, 5, RngStream(14))
-        models = train_fold_models(X, y, folds, KNearestLearner(1))
+        models = train_fold_models(X, y, folds, LearnerSpec("knn", 1))
         lab, _ = assemble_cross_predictions(X, Xu, folds, models)
         for i in range(n):
             complement = np.flatnonzero(folds != folds[i])
@@ -277,7 +280,7 @@ class TestCrossIntervals:
             Xu = g.standard_normal((100, 1))
             cfg = BootstrapConfig(B=150)
             base = RngStream(rep, (0,))
-            learner = LinearLeastSquaresLearner()
+            learner = LearnerSpec("linear_least_squares")
             cross = cross_ppboot_interval(X, y, Xu, MEAN, cfg, 5, learner, base)
             split = split_ppboot_interval(X, y, Xu, MEAN, cfg, learner, base, 0.5)
             if cross.width <= split.width + 1e-12:
@@ -292,7 +295,7 @@ class TestCrossIntervals:
         Xu = g.standard_normal((9, 1))
         cfg = BootstrapConfig(B=200, alpha=0.1)
         base = RngStream(77, (3,))
-        ci = cross_ppboot_interval(X, y, Xu, MEAN, cfg, n, KNearestLearner(1), base)
+        ci = cross_ppboot_interval(X, y, Xu, MEAN, cfg, n, LearnerSpec("knn", 1), base)
         lo, hi, _ = ref.loo_onenn_cross_ppboot(X, y, Xu, 200, 0.1, 77, (3,))
         assert ci.lower == pytest.approx(lo, abs=1e-12)
         assert ci.upper == pytest.approx(hi, abs=1e-12)
@@ -305,8 +308,8 @@ class TestSplitBaseline:
         y = 2.0 * X[:, 0] + g.standard_normal(30) * 0.2
         Xu = g.standard_normal((50, 1))
         cfg = BootstrapConfig(B=100)
-        a = split_ppboot_interval(X, y, Xu, MEAN, cfg, LinearLeastSquaresLearner(), RngStream(5, (1,)))
-        b = split_ppboot_interval(X, y, Xu, MEAN, cfg, LinearLeastSquaresLearner(), RngStream(5, (1,)))
+        a = split_ppboot_interval(X, y, Xu, MEAN, cfg, LearnerSpec("linear_least_squares"), RngStream(5, (1,)))
+        b = split_ppboot_interval(X, y, Xu, MEAN, cfg, LearnerSpec("linear_least_squares"), RngStream(5, (1,)))
         assert a == b
         assert a.lower <= a.upper
 
@@ -315,15 +318,15 @@ class TestSplitBaseline:
         X = np.zeros((n, 1))
         with pytest.raises(ValueError, match=f"^cannot split {n} rows into a training part and >= 2 inference rows$"):
             split_ppboot_interval(X, np.zeros(n), X, MEAN, BootstrapConfig(B=10),
-                                  LinearLeastSquaresLearner(), RngStream(0))
+                                  LearnerSpec("linear_least_squares"), RngStream(0))
 
     def test_bad_fraction_rejected(self):
         X = np.zeros((10, 1))
         with pytest.raises(ValueError):
             split_ppboot_interval(X, np.zeros(10), X, MEAN, BootstrapConfig(B=10),
-                                  LinearLeastSquaresLearner(), RngStream(0), 1.0)
+                                  LearnerSpec("linear_least_squares"), RngStream(0), 1.0)
 
-    @pytest.mark.parametrize("learner", [KNearestLearner(3), LinearLeastSquaresLearner()], ids=["knn", "linear"])
+    @pytest.mark.parametrize("learner", [LearnerSpec("knn", 3), LearnerSpec("linear_least_squares")], ids=["knn", "linear"])
     def test_overflowed_predictions_fail_the_check_without_a_warning(self, learner):
         # The suite turns a numpy warning into an error, so a warning from the
         # model would surface here instead of the dataset check's error.
@@ -333,15 +336,18 @@ class TestSplitBaseline:
 
 
 class TestLearnerSpec:
-    def test_make_learner_kinds(self):
-        assert isinstance(make_learner(LearnerSpec("linear_least_squares")), LinearLeastSquaresLearner)
-        assert isinstance(make_learner(LearnerSpec("knn", k=3)), KNearestLearner)
+    def test_fit_gives_each_kinds_model(self):
         g = np.random.default_rng(22)
-        X = g.standard_normal((40, 1))
-        y = (g.random(40) < 0.5).astype(float)
-        predict = make_learner(LearnerSpec("logistic_irls")).fit(X, y)
-        probs = predict(X)
+        X = g.standard_normal((40, 2))
+        y = X @ np.array([2.0, -1.0]) + 0.5
+        Q = g.standard_normal((6, 2))
+        assert np.allclose(LearnerSpec("linear_least_squares").fit(X, y)(Q), Q @ np.array([2.0, -1.0]) + 0.5, atol=1e-12)
+        assert LearnerSpec("knn", k=3).fit(X, y)(Q).tobytes() == ref.knn_tensor_predict(X, y, Q, 3).tobytes()
+        labels = (g.random(40) < 0.5).astype(float)
+        probs = LearnerSpec("logistic_irls").fit(X, labels)(X)
         assert np.all((probs > 0) & (probs < 1))
+        # The fitted probabilities solve the score equations at the intercept.
+        assert np.sum(probs) == pytest.approx(np.sum(labels), abs=1e-6)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -315,7 +315,7 @@ class TestWorkerProcesses:
         full = _bern_data(total=50)
         sent = [
             ConfidenceInterval(-0.25, 1.5, 0.625, 0.7, 2, 0.1),
-            ConfidenceInterval(0.0, 0.0, 0.0, 1.0, 0, 0.1, degenerate_reason="singular design"),
+            ConfidenceInterval(0.0, 0.0, 0.0, 1.0, 5, 0.3),
             EstimationError("method 'classical' failed on 3 of 8 trials at n=60"),
             _study_config(methods=("ppboot", "cross-ppboot"), learner=LearnerSpec("knn", k=3)),
             full,

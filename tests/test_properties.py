@@ -28,6 +28,7 @@ from ppboot import (
     EstimandSpec,
     EstimationError,
     LabeledDataset,
+    LearnerSpec,
     RngStream,
     UnlabeledDataset,
     classical_bootstrap_interval,
@@ -49,7 +50,7 @@ from ppboot.estimators import (
     fit_logistic,
     with_intercept,
 )
-from ppboot.resampling import PHASE_MAIN, UNLABELED_TAG, draw_keyed_indices, philox_keys
+from ppboot.resampling import PHASE_MAIN, UNLABELED_TAG, philox_keys
 
 VALUES = (-1.5, 0.0, 0.5, 1.0, 2.25)
 BINARY = (0.0, 1.0)
@@ -553,7 +554,7 @@ def assert_knn_is_the_tensor_formula(problem):
     X, y, Q, k, chunk = problem
     budget = chunk * X.shape[0] * crossfit._live_planes(X.shape[1])
     with mock.patch.object(crossfit, "KNN_CHUNK_ELEMENTS", budget):
-        predict = crossfit.KNearestLearner(k).fit(X, y)
+        predict = LearnerSpec("knn", k).fit(X, y)
     assert predict(Q).tobytes() == ref.knn_tensor_predict(X, y, Q, k).tobytes()
 
 
@@ -603,17 +604,6 @@ def test_philox_keys_are_the_seed_sequence_keys(problem):
         for spawn_key, got in ((path, key), (path + (UNLABELED_TAG,), unlabeled_key)):
             expected = np.random.SeedSequence(stream.master_seed, spawn_key=spawn_key).generate_state(2, np.uint64)
             assert got.tolist() == expected.tolist()
-
-
-def test_keyed_draws_are_the_stream_draws_past_32_bit_components():
-    N = 9800
-    generator = np.random.Generator(np.random.Philox(0))
-    for stream, tail in ((RngStream(3, (2**32, PHASE_MAIN)), (5, 1)), (RngStream(2**63 + 1, (7,)), (2**40, 0))):
-        keys, unlabeled_keys = philox_keys(stream, np.array([tail], dtype=np.uint64))
-        child = stream.child(*tail)
-        assert np.array_equal(draw_keyed_indices(generator, keys[0].tolist(), N), child.generator().integers(0, N, N))
-        assert np.array_equal(draw_keyed_indices(generator, unlabeled_keys[0].tolist(), N),
-                              child.child(UNLABELED_TAG).generator().integers(0, N, N))
 
 
 def counted(monkeypatch, name: str) -> list:
