@@ -63,7 +63,10 @@ class LearnerSpec:
         ``linear_least_squares`` is least squares with an intercept,
         ``logistic_irls`` logistic regression with an intercept that predicts
         class-1 probabilities, and ``knn`` the mean outcome of the ``k``
-        nearest training rows.
+        nearest training rows.  Logistic outcomes other than 0/1 raise
+        ``ValueError``, as the logistic estimand's check does; one outcome
+        class or a failed fit, which a fold may hit by chance, raises
+        ``EstimationError``.
         """
         X = np.asarray(features, dtype=np.float64)
         y = np.asarray(outcomes, dtype=np.float64)
@@ -73,7 +76,7 @@ class LearnerSpec:
             beta, _ = fit_least_squares(with_intercept(X), y)
             return lambda queries: np.asarray(queries, dtype=np.float64) @ beta[:-1] + beta[-1]
         if not np.all((y == 0.0) | (y == 1.0)):
-            raise EstimationError("logistic learner requires 0/1 outcomes")
+            raise ValueError("logistic learner requires 0/1 outcomes")
         if np.all(y == y[0]):
             raise EstimationError("logistic learner requires both outcome classes")
         beta, reason = fit_logistic(with_intercept(X), y)

@@ -339,6 +339,26 @@ class TestInfer:
             "'linear_least_squares': the estimand needs 0/1 predictions and it averages the fold models' predictions"
         ]
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param({"--estimand": "logistic_coef"}, "labeled outcomes must contain only 0/1 values",
+                     id="logistic-estimand"),
+        pytest.param({"--crossfit": "3", "--learner": "logistic_irls"}, "logistic learner requires 0/1 outcomes",
+                     id="logistic-learner"),
+    ])
+    def test_non_binary_outcomes_for_logistic_exit_2(self, tmp_path, capsys, flags, message):
+        # Outcomes that are not 0/1 are a data error whether the estimand or
+        # the fold learner is logistic.
+        labeled, unlabeled = tmp_path / "l.csv", tmp_path / "u.csv"
+        g = np.random.default_rng(5)
+        labeled.write_text("x,y,fhat\n" + "".join(f"{x!r},{x + e!r},0.0\n" for x, e in g.standard_normal((30, 2)).tolist()),
+                           encoding="utf-8")
+        unlabeled.write_text("x,fhat\n" + "".join(f"{x!r},0.0\n" for x in g.standard_normal(60).tolist()),
+                             encoding="utf-8")
+        code, out, err = run_cli(infer_args(**{"--labeled": str(labeled), "--unlabeled": str(unlabeled), **flags}),
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"ppboot: error: {message}"]
+
     @pytest.mark.parametrize("method", ["classical", "imputed", "ppi-mean"])
     @pytest.mark.parametrize("flags, message", [
         pytest.param({"--tune": ""}, "--tune applies to --method ppboot only", id="tune"),
@@ -559,6 +579,20 @@ class TestStudy:
         code, _, err = run_cli(["study", "--config", cfg, "--out", str(out_dir), "--seed", "2"], capsys)
         assert code == 4
         assert "imputed" in err
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize("method", ["cross-ppboot", "split-ppboot"])
+    def test_logistic_learner_on_non_binary_outcomes_exits_2_without_outputs(self, tmp_path, capsys, method):
+        cfg = study_config(
+            tmp_path,
+            data={"synthetic": {"dgp": "gaussian_linear", "total_rows": 200, "coef": [1.0]}},
+            methods=[method], bootstrap={"B": 20}, crossfit={"k": 3, "learner": {"kind": "logistic_irls"}},
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["study", "--config", cfg, "--out", str(out_dir), "--seed", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["ppboot: error: logistic learner requires 0/1 outcomes"]
         assert not out_dir.exists()
 
 

@@ -138,6 +138,13 @@ class TestLogisticLearnerFailures:
         with pytest.raises(EstimationError, match="singular design"):
             LearnerSpec("logistic_irls").fit(np.column_stack([x, x]), np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))
 
+    def test_non_binary_outcomes_are_an_argument_error(self):
+        # A data error, not a fold's bad luck: no fold prefix, and the CLI exits 2.
+        X = np.arange(8.0)[:, None]
+        folds = partition_folds(8, 2, RngStream(12))
+        with pytest.raises(ValueError, match="^logistic learner requires 0/1 outcomes$"):
+            train_fold_models(X, np.array([0, 1, 0, 1, 1, 0, 1, 0.5]), folds, LearnerSpec("logistic_irls"))
+
     def test_one_outcome_class_stays_an_estimation_error(self):
         with pytest.raises(EstimationError, match="both outcome classes"):
             LearnerSpec("logistic_irls").fit(np.arange(4.0)[:, None], np.ones(4))
