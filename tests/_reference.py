@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ppboot.errors import ParseError, SchemaError, ValidationError
+from ppboot.errors import EstimationError, ParseError, SchemaError, ValidationError
 
 
 def stream_gen(master_seed: int, path: tuple[int, ...]) -> np.random.Generator:
@@ -37,13 +37,53 @@ def nearest_rank(values, q: float) -> float:
     return ordered[k - 1]
 
 
-def est_value(kind: str, features, outcomes, q: float = 0.5) -> float:
+def log_odds_ratio(exposure, outcomes) -> tuple[float, str | None]:
+    """The log odds ratio of the 2x2 table counted from the rows, and its reason.
+
+    A table with an empty cell adds 0.5 to every cell (Haldane's correction)
+    and is flagged ``"zero cell corrected"``.
+    """
+    cells = {(1, 1): 0, (1, 0): 0, (0, 1): 0, (0, 0): 0}
+    for e, y in zip(exposure, outcomes):
+        cells[int(e), int(y)] += 1
+    n11, n10, n01, n00 = (cells[key] for key in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    reason = None
+    if 0 in (n11, n10, n01, n00):
+        n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
+        reason = "zero cell corrected"
+    return math.log((n11 * n00) / (n10 * n01)), reason
+
+
+def pearson(x, y) -> tuple[float, str | None]:
+    """The centred-formula correlation, and ``"constant variable"`` when either variable is constant."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        return math.nan, "constant variable"
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = sum((a - mx) ** 2 for a in x)
+    syy = sum((b - my) ** 2 for b in y)
+    return sxy / math.sqrt(sxx * syy), None
+
+
+def est_value(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> float | None:
+    """The estimate of ``kind`` on one sample, or ``None`` where the sample is degenerate.
+
+    ``column`` is the exposure column of the log odds ratio and the feature
+    column of the Pearson correlation.
+    """
     y = np.asarray(outcomes, dtype=float)
     if kind == "mean":
-        return float(np.mean(y))
-    if kind == "quantile":
-        return nearest_rank(y, q)
-    raise ValueError(kind)
+        value, reason = float(np.mean(y)), None
+    elif kind == "quantile":
+        value, reason = nearest_rank(y, q), None
+    elif kind == "log_odds_ratio":
+        value, reason = log_odds_ratio(np.asarray(features)[:, column], y)
+    elif kind == "pearson_corr":
+        value, reason = pearson(np.asarray(features)[:, column], y)
+    else:
+        raise ValueError(kind)
+    return value if reason is None and math.isfinite(value) else None
 
 
 def ppboot_interval(
@@ -59,22 +99,44 @@ def ppboot_interval(
     master_seed: int,
     base_path: tuple[int, ...] = (),
     q: float = 0.5,
+    column: int = 0,
+    max_retries: int = 10,
 ):
-    """Naive loop over the main-phase substreams; returns (lower, upper, values)."""
+    """Naive loop over the main-phase substreams; returns (lower, upper, values).
+
+    Attempt ``r`` of iteration ``b`` draws at ``base_path + (2, b, r)``.  An
+    attempt with a degenerate estimate on any side it evaluates (only the
+    labeled outcomes at ``lam == 0``) is redrawn at ``r + 1``, up to
+    ``max_retries`` times; then iteration ``b`` is dropped, so the dropped
+    count is ``B - len(values)``.  Fewer than half of ``B`` kept raises.
+    """
+    Xl = None if labeled_features is None else np.asarray(labeled_features, dtype=float)
+    Xu = None if unlabeled_features is None else np.asarray(unlabeled_features, dtype=float)
     y = np.asarray(outcomes, dtype=float)
     fl = np.asarray(labeled_preds, dtype=float)
     fu = np.asarray(unlabeled_preds, dtype=float)
     n, N = y.size, fu.size
+
+    def rows(X, idx):
+        return None if X is None else X[idx]
+
     values = []
     for b in range(B):
-        g = stream_gen(master_seed, tuple(base_path) + (2, b, 0))
-        li = g.integers(0, n, size=n)
-        gu = stream_gen(master_seed, tuple(base_path) + (2, b, 0, 1))
-        ui = gu.integers(0, N, size=N)
-        t_lab = est_value(kind, None, y[li], q)
-        t_pred = est_value(kind, None, fl[li], q)
-        t_unl = est_value(kind, None, fu[ui], q)
-        values.append(lam * t_unl + t_lab - lam * t_pred)
+        for r in range(max_retries + 1):
+            path = tuple(base_path) + (2, b, r)
+            li = labeled_indices(n, master_seed, path)
+            t_lab = est_value(kind, rows(Xl, li), y[li], q, column)
+            if lam == 0.0:
+                estimates = [t_lab]
+            else:
+                ui = unlabeled_indices(N, master_seed, path)
+                estimates = [t_lab, est_value(kind, rows(Xl, li), fl[li], q, column),
+                             est_value(kind, rows(Xu, ui), fu[ui], q, column)]
+            if None not in estimates:
+                values.append(t_lab if lam == 0.0 else lam * estimates[2] + t_lab - lam * estimates[1])
+                break
+    if 2 * len(values) < B:
+        raise EstimationError(f"only {len(values)} of {B} iterations usable")
     return nearest_rank(values, alpha / 2), nearest_rank(values, 1 - alpha / 2), values
 
 
