@@ -38,7 +38,7 @@ def classical_clt_mean_interval(outcomes, alpha: float) -> ConfidenceInterval:
 
 
 def classical_bootstrap_interval(
-    labeled: LabeledDataset, spec: EstimandSpec, cfg: BootstrapConfig, stream: RngStream
+    labeled: LabeledDataset, spec: EstimandSpec, cfg: BootstrapConfig, stream: RngStream, threads: int = 1
 ) -> ConfidenceInterval:
     """Classical percentile bootstrap of the labeled data only.
 
@@ -46,16 +46,17 @@ def classical_bootstrap_interval(
     and no unlabeled data, so given the same base ``stream`` the two share
     their main-phase substreams and are identical at multiplier 0.  A study
     cell takes it from its one ``boot.ppboot_intervals`` call instead.
+    ``threads`` caps the loop's threads, as in ``boot.ppboot_interval``.
     """
-    return ppboot_interval(labeled, None, spec, replace(cfg, lambda_mode="fixed", lambda_value=0.0), stream)
+    return ppboot_interval(labeled, None, spec, replace(cfg, lambda_mode="fixed", lambda_value=0.0), stream, threads)
 
 
 def imputed_interval(
-    unlabeled: UnlabeledDataset, spec: EstimandSpec, cfg: BootstrapConfig, stream: RngStream
+    unlabeled: UnlabeledDataset, spec: EstimandSpec, cfg: BootstrapConfig, stream: RngStream, threads: int = 1
 ) -> ConfidenceInterval:
     """Percentile bootstrap that naively treats predictions as real outcomes."""
     pseudo = LabeledDataset(unlabeled.features, unlabeled.predictions, unlabeled.predictions)
-    return classical_bootstrap_interval(pseudo, spec, cfg, stream)
+    return classical_bootstrap_interval(pseudo, spec, cfg, stream, threads)
 
 
 def ppi_mean_interval(

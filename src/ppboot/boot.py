@@ -20,7 +20,9 @@ Main, classical and tuning draws all come from one loop,
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -144,6 +146,11 @@ def interval_resamplers(
     return tuple(canonical_resampler(spec, X, y, name) for name, (X, y) in zip(SIDE_NAMES, data))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _attempt_keys(stream: RngStream, iterations, r: int | None) -> list:
     """``(labeled key, unlabeled key)`` of attempt ``r`` of each iteration, as Python ints.
 
@@ -160,6 +167,7 @@ def resample_estimates(
     B: int,
     stream: RngStream,
     max_degenerate_retries: int | None,
+    threads: int = 1,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """The bootstrap loop shared by every resampling method.
 
@@ -180,8 +188,18 @@ def resample_estimates(
     stream, so this draws and keeps exactly what one attempt at a time would.
     The streams' Philox keys come from :func:`philox_keys`, for the first
     attempts of up to ``KEY_BLOCK`` iterations at once and for a chunk's
-    redrawn members together, and every draw resets this call's own
-    generator to its key (:func:`draw_keyed_indices`).
+    redrawn members together, and every draw resets a generator of this
+    call's own to its key (:func:`draw_keyed_indices`).
+
+    With ``threads`` above 1 and no side holding a count matrix (mean and
+    quantile, whose draw, gather, sort and sum release the GIL), each round
+    of a chunk's attempts is cut into at most ``threads`` contiguous parts.
+    This thread runs the first, and a pool of one thread fewer, started for
+    this call and joined before it returns, runs the others.  Each part
+    draws on a generator of its own, and the parts' estimates are joined in
+    iteration order before the keep step, so the result never depends on
+    ``threads``.  The count-matrix engine runs slower threaded and stays on
+    this thread.
 
     Returns ``(rows, dropped, classical)``: one row per retained iteration, in
     iteration order, holding one estimate per side; the number of dropped
@@ -200,31 +218,51 @@ def resample_estimates(
     # A key block holds whole chunks.
     block = chunk * (KEY_BLOCK // chunk)
     attempts = 1 if max_degenerate_retries is None else max_degenerate_retries + 1
-    generator = np.random.Generator(np.random.Philox(0))
-    for start in range(0, B, chunk):
-        if start % block == 0:
-            first = _attempt_keys(stream, range(start, min(start + block, B)),
-                                  None if max_degenerate_retries is None else 0)
-        pending = np.arange(start, min(start + chunk, B))
-        keys = first[start % block:][:pending.size]
-        for r in range(attempts):
-            if r:
-                keys = _attempt_keys(stream, pending, r)
-            labeled = [draw_keyed_indices(generator, key, n) for key, _ in keys]
-            ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
-            ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
-                     for side in sides[2:]]
-            values = np.column_stack([v for v, _ in ests])
-            ok = np.column_stack([(codes == 0) & np.isfinite(v) for v, codes in ests])
-            fresh = ok[:, 0] & ~classical_kept[pending]
-            classical[pending[fresh]] = values[fresh, 0]
-            classical_kept[pending[fresh]] = True
-            good = ok.all(axis=1)
-            rows[pending[good]] = values[good]
-            kept[pending[good]] = True
-            pending = pending[~good]
-            if not pending.size:
-                break
+    parts = 1 if any(side.rows for side in sides) else min(threads, chunk, B)
+    generators = [np.random.Generator(np.random.Philox(0)) for _ in range(parts)]
+
+    def estimate(generator, keys):
+        """Each side's values and keep mask, (attempts, sides) arrays, on the attempts keyed by ``keys``."""
+        labeled = [draw_keyed_indices(generator, key, n) for key, _ in keys]
+        ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
+        del labeled  # freed before the unlabeled draws, which are far larger one by one
+        ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
+                 for side in sides[2:]]
+        return (np.column_stack([v for v, _ in ests]),
+                np.column_stack([(codes == 0) & np.isfinite(v) for v, codes in ests]))
+
+    def split(keys):
+        """``estimate`` on contiguous parts of ``keys``, the first on this thread, joined in order."""
+        cuts = [len(keys) * i // parts for i in range(parts + 1)]
+        pieces = [keys[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+        futures = [pool.submit(estimate, g, piece) for g, piece in zip(generators[1:], pieces[1:])]
+        done = [estimate(generators[0], pieces[0])] + [future.result() for future in futures]
+        return tuple(np.concatenate(arrays) for arrays in zip(*done))
+
+    with contextlib.ExitStack() as stack:
+        if parts > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = stack.enter_context(ThreadPoolExecutor(parts - 1))
+        for start in range(0, B, chunk):
+            if start % block == 0:
+                first = _attempt_keys(stream, range(start, min(start + block, B)),
+                                      None if max_degenerate_retries is None else 0)
+            pending = np.arange(start, min(start + chunk, B))
+            keys = first[start % block:][:pending.size]
+            for r in range(attempts):
+                if r:
+                    keys = _attempt_keys(stream, pending, r)
+                values, ok = split(keys) if parts > 1 else estimate(generators[0], keys)
+                fresh = ok[:, 0] & ~classical_kept[pending]
+                classical[pending[fresh]] = values[fresh, 0]
+                classical_kept[pending[fresh]] = True
+                good = ok.all(axis=1)
+                rows[pending[good]] = values[good]
+                kept[pending[good]] = True
+                pending = pending[~good]
+                if not pending.size:
+                    break
     return rows[kept], B - int(np.count_nonzero(kept)), classical[classical_kept]
 
 
@@ -240,7 +278,7 @@ def _combine(estimates, lam: float):
         return lam * unl + (lab - lam * pred)
 
 
-def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) -> float:
+def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream, threads: int = 1) -> float:
     """Estimate the variance-minimizing prediction multiplier from the three sides.
 
     Runs an initial bootstrap collecting, per resample, the triple
@@ -253,11 +291,11 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
     draws on ``stream.child(b)``; degenerate triples are dropped, never
     redrawn.  A denominator below ``TUNING_DENOM_FLOOR`` yields 0, which
     disables the prediction terms entirely.  Moments that overflow fail
-    tuning.
+    tuning.  ``threads`` caps the loop's threads (:func:`resample_estimates`).
     """
     if tuning_B < 2:
         raise ValueError(f"tuning_B must be >= 2, got {tuning_B}")
-    rows, _, _ = resample_estimates(sides, tuning_B, stream, None)
+    rows, _, _ = resample_estimates(sides, tuning_B, stream, None, threads)
     m = rows.shape[0]
     if m < 2:
         raise EstimationError(f"tuning failure: only {m} usable resamples out of {tuning_B}")
@@ -274,7 +312,12 @@ def tune_lambda(sides: tuple[Resampler, ...], tuning_B: int, stream: RngStream) 
 
 
 def ppboot_draws(
-    sides: tuple[Resampler, ...], lams: Sequence[float], B: int, stream: RngStream, max_degenerate_retries: int = 10
+    sides: tuple[Resampler, ...],
+    lams: Sequence[float],
+    B: int,
+    stream: RngStream,
+    max_degenerate_retries: int = 10,
+    threads: int = 1,
 ) -> list[tuple[np.ndarray, int]]:
     """Each multiplier's retained combined values, in iteration order, and dropped count, from one main loop.
 
@@ -285,7 +328,7 @@ def ppboot_draws(
     """
     every_zero = all(lam == 0.0 for lam in lams)
     rows, dropped, classical = resample_estimates(sides[:1] if every_zero else sides, B, stream.child(PHASE_MAIN),
-                                                  max_degenerate_retries)
+                                                  max_degenerate_retries, threads)
     columns = rows.T.copy()
     return [(classical, B - classical.size) if lam == 0.0 else (_combine(columns, lam), dropped) for lam in lams]
 
@@ -344,23 +387,29 @@ def fixed_lambda(cfg: BootstrapConfig) -> float | None:
 
 
 def ppboot_intervals(
-    sides: tuple[Resampler, ...], multipliers: Sequence[float | None], cfg: BootstrapConfig, stream: RngStream
+    sides: tuple[Resampler, ...],
+    multipliers: Sequence[float | None],
+    cfg: BootstrapConfig,
+    stream: RngStream,
+    threads: int = 1,
 ) -> list[ConfidenceInterval | EstimationError]:
     """The percentile interval of each multiplier (``None``: tuned) on one interval's sides, or its failure.
 
     ``stream`` is the base stream: tuning, run once for every tuned
     multiplier and clipped where ``cfg`` asks, draws under its
     ``PHASE_TUNING`` child and the one main loop under ``PHASE_MAIN``.
+    ``threads`` caps the threads of both loops (:func:`resample_estimates`);
+    no result depends on it.
     """
     lams = list(multipliers)
     if None in lams:
         try:
-            tuned = _clipped(cfg, tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING)))
+            tuned = _clipped(cfg, tune_lambda(sides, cfg.effective_tuning_B, stream.child(PHASE_TUNING), threads))
         except EstimationError as exc:
             tuned = exc
         lams = [tuned if lam is None else lam for lam in lams]
     fine = [lam for lam in lams if not isinstance(lam, EstimationError)]
-    draws = iter(ppboot_draws(sides, fine, cfg.B, stream, cfg.max_degenerate_retries) if fine else ())
+    draws = iter(ppboot_draws(sides, fine, cfg.B, stream, cfg.max_degenerate_retries, threads) if fine else ())
     out: list[ConfidenceInterval | EstimationError] = []
     for lam in lams:
         if isinstance(lam, EstimationError):  # the tuning failure
@@ -382,6 +431,7 @@ def ppboot_interval(
     spec: EstimandSpec,
     cfg: BootstrapConfig,
     stream: RngStream,
+    threads: int = 1,
 ) -> ConfidenceInterval:
     """Prediction-powered percentile bootstrap confidence interval.
 
@@ -391,10 +441,11 @@ def ppboot_interval(
     ``unlabeled`` may be ``None`` when the multiplier is fixed at 0: that is
     the classical bootstrap.  Each side is checked and merged once, and
     tuning, the main loop and the point estimate share the result.
+    ``threads`` caps the loops' threads; the interval never depends on it.
     """
     fixed = fixed_lambda(cfg)
     sides = interval_resamplers(labeled, unlabeled, spec, 1.0 if fixed is None else fixed)
-    [outcome] = ppboot_intervals(sides, [fixed], cfg, stream)
+    [outcome] = ppboot_intervals(sides, [fixed], cfg, stream, threads)
     if isinstance(outcome, EstimationError):
         raise outcome
     return outcome

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .boot import BootstrapConfig, ppboot_interval, reported_interval
+from .boot import BootstrapConfig, ppboot_interval, reported_interval, usable_cpus
 from .baselines import classical_bootstrap_interval, imputed_interval, ppi_mean_interval
 from .crossfit import LEARNER_KINDS, LearnerSpec, cross_ppboot_interval
 from .data import load_csv, read_table
@@ -135,21 +135,24 @@ def cmd_infer(args) -> int:
     stream = RngStream(seed)
     if args.method != "classical" and not args.unlabeled:
         raise ValueError(f"--unlabeled is required for method {args.method!r}")
+    # Mean and quantile loops run on every CPU this process may use; no result depends on it.
+    threads = usable_cpus()
 
     if args.crossfit is not None:
         features, outcomes, _ = read_table(args.labeled, schema, need_outcome=True, need_prediction=False)
         unl_features, _, _ = read_table(args.unlabeled, schema, need_outcome=False, need_prediction=False)
-        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit, learner_spec, stream)
+        ci = cross_ppboot_interval(features, outcomes, unl_features, spec, cfg, args.crossfit, learner_spec, stream,
+                                   threads)
     elif args.method == "ppboot":
         labeled = load_csv(args.labeled, schema, expect="labeled")
         unlabeled = load_csv(args.unlabeled, schema, expect="unlabeled")
-        ci = ppboot_interval(labeled, unlabeled, spec, cfg, stream)
+        ci = ppboot_interval(labeled, unlabeled, spec, cfg, stream, threads)
     elif args.method == "classical":
         labeled = load_csv(args.labeled, schema, expect="labeled")
-        ci = classical_bootstrap_interval(labeled, spec, cfg, stream)
+        ci = classical_bootstrap_interval(labeled, spec, cfg, stream, threads)
     elif args.method == "imputed":
         unlabeled = load_csv(args.unlabeled, schema, expect="unlabeled")
-        ci = imputed_interval(unlabeled, spec, cfg, stream)
+        ci = imputed_interval(unlabeled, spec, cfg, stream, threads)
     else:  # ppi-mean
         if spec.kind != "mean":
             raise ValueError("method 'ppi-mean' supports the mean estimand only")

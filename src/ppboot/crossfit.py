@@ -225,12 +225,14 @@ def cross_ppboot_interval(
     K: int,
     learner,
     stream: RngStream,
+    threads: int = 1,
 ) -> ConfidenceInterval:
     """Cross-fitted interval: partition, train, assemble predictions, then bootstrap.
 
     Predictions are fixed before the bootstrap loop; fold randomness lives at
     the stream's ``(PHASE_SPLIT, FOLD_SPLIT_TAG)`` child so the bootstrap
-    phases stay aligned with the non-cross-fitted methods.
+    phases stay aligned with the non-cross-fitted methods.  ``threads`` caps
+    the bootstrap loops' threads, as in ``boot.ppboot_interval``.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
@@ -242,7 +244,7 @@ def cross_ppboot_interval(
         labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models)
     labeled = LabeledDataset(X, y, labeled_preds)
     unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
-    return ppboot_interval(labeled, unlabeled, spec, cfg, stream)
+    return ppboot_interval(labeled, unlabeled, spec, cfg, stream, threads)
 
 
 def split_ppboot_interval(

@@ -32,6 +32,7 @@ from .boot import (
     ppboot_intervals,
     reported_interval,
     transform_value,
+    usable_cpus,
 )
 from .crossfit import LearnerSpec, cross_ppboot_interval, split_ppboot_interval
 from .data import LabeledDataset, load_csv, split_trial
@@ -370,7 +371,8 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
     failing more than 10% of trials at any n aborts the study.  ``threads``
     caps the worker processes, which never outnumber the cells or the CPUs
     this process may use; with one worker the cells run in this process.
-    Results never depend on it.
+    Results never depend on it.  A cell's bootstrap loops run on one
+    thread, since the workers already fill the CPUs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -386,8 +388,7 @@ def run_coverage_study(full: LabeledDataset, config: TrialConfig, threads: int =
 
     cells = [(ni, t) for ni in range(len(config.n_grid)) for t in range(config.trials)]
     # Workers beyond the CPUs this process may run on would only queue.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(threads, len(cells), cpus)
+    workers = min(threads, len(cells), usable_cpus())
     if workers == 1:
         outcomes = [_run_cell(full, config, cell) for cell in cells]
     else:

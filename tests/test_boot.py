@@ -1,7 +1,9 @@
 """Core bootstrap behavior: combination identities, tuning, and determinism."""
 
+import concurrent.futures
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -291,9 +293,9 @@ class TestOneMergePerSide:
             retained.append(values.size + dropped)
             check(values, dropped)
 
-        def counting_tune(sides, tuning_B, stream):
+        def counting_tune(sides, tuning_B, stream, threads=1):
             tuned.append(tuning_B)
-            return tune(sides, tuning_B, stream)
+            return tune(sides, tuning_B, stream, threads)
 
         def counting_point(sides, lam):
             points.append(len(sides))
@@ -363,8 +365,10 @@ class TestKeyedLoop:
         tuned = tune_lambda(sides, 40, stream.child(PHASE_TUNING))
         monkeypatch.setattr(boot, "KEY_BLOCK", key_block)
         if chunk_bytes is not None:
-            # Chunks of two and of six iterations, under a KEY_BLOCK of seven.
+            # Chunks of two and of six iterations, under a KEY_BLOCK of seven: a mean chunk holds
+            # the n labeled indices of each resample, the others a row of the largest count matrix.
             monkeypatch.setattr(estimators, "CHUNK_BYTES", chunk_bytes * max(side.rows for side in sides))
+            monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", chunk_bytes * n)
         [blocked] = ppboot_draws(sides, [1.0], 40, stream, 3)
         assert blocked[1] == whole[1]
         assert blocked[0].tobytes() == whole[0].tobytes()
@@ -393,6 +397,64 @@ class TestKeyedLoop:
         with ThreadPoolExecutor(2) as pool:
             threaded = list(pool.map(lambda p: ppboot_interval(p[0], p[1], MEAN, cfg, p[2]), problems))
         assert threaded == sequential
+
+
+def _threads_case(case):
+    """``(labeled, unlabeled, spec, cfg)`` of one case of :class:`TestThreadedLoop`."""
+    labeled, unlabeled = make_pair(n=12, N=30, seed=37)
+    if case == "mean-1e308":
+        # A resample drawing either extreme row twice overflows its sum: it is redrawn, and some are dropped.
+        outcomes = labeled.outcomes.copy()
+        outcomes[:2] = 1e308, -1e308
+        labeled = LabeledDataset(labeled.features, outcomes, labeled.predictions)
+    spec = EstimandSpec("quantile", q=0.7) if case == "quantile" else MEAN
+    mode = {"tuned-mean": "tuned", "fixed-mean": "fixed"}.get(case, "off")
+    return labeled, unlabeled, spec, BootstrapConfig(B=40, lambda_mode=mode, lambda_value=0.6, max_degenerate_retries=2)
+
+
+class TestThreadedLoop:
+    """A mean or quantile loop cut across threads keeps every bit of the loop on one thread."""
+
+    @pytest.mark.parametrize("chunk", [2, 6])
+    @pytest.mark.parametrize("case", ["tuned-mean", "fixed-mean", "quantile", "mean-1e308"])
+    def test_thread_count_never_changes_a_result(self, monkeypatch, stream, case, chunk):
+        labeled, unlabeled, spec, cfg = _threads_case(case)
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        monkeypatch.setattr(boot, "KEY_BLOCK", 7)
+        # Chunks of two and of six iterations: a mean or quantile chunk holds 8-byte labeled indices.
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * chunk)
+        results = []
+        for threads in (1, 2, 3):
+            rows, dropped, classical = resample_estimates(sides, 40, stream, cfg.max_degenerate_retries, threads)
+            tuning_rows, _, _ = resample_estimates(sides, 40, stream, None, threads)
+            try:
+                outcome = ppboot_interval(labeled, unlabeled, spec, cfg, stream, threads=threads)
+            except EstimationError as exc:
+                outcome = repr(exc)
+            results.append((rows.tobytes(), dropped, classical.tobytes(), tuning_rows.tobytes(), outcome))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+        assert isinstance(results[0][-1], boot.ConfidenceInterval)
+        assert (results[0][1] > 0) == (case == "mean-1e308")
+
+    @pytest.mark.parametrize("spec, chunk, pools", [(MEAN, 2, [1]), (MEAN, 6, [2]), (EstimandSpec("ols_coef"), 6, [])],
+                             ids=["mean-chunks-of-2", "mean-chunks-of-6", "ols"])
+    def test_a_loop_joins_at_most_one_thread_fewer_than_its_parts(self, monkeypatch, stream, spec, chunk, pools):
+        started = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        labeled, unlabeled = make_pair(n=12, N=30, seed=38)
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * chunk)
+        before = threading.active_count()
+        resample_estimates(sides, 40, stream, 2, 3)
+        assert started == pools
+        assert threading.active_count() == before
 
 
 class TestTuneLambda:

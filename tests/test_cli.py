@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, exit codes, and study reproducibility."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ppboot
+from ppboot import cli
 from ppboot.baselines import imputed_interval, ppi_mean_interval
 from ppboot.boot import MAX_B, BootstrapConfig, ppboot_interval, reported_interval
 from ppboot.cli import main
@@ -241,20 +243,26 @@ class TestInfer:
         assert code == 4
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("data, flags, message", [
-        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", id="lambda-1e308"),
+    @pytest.mark.parametrize("data, flags, message, cpus", [
+        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", None, id="lambda-1e308"),
         pytest.param("mean-near-1000", {"--transform": "exp"}, "non-finite interval: lower inf, upper inf, point inf",
-                     id="exp-of-mean-near-1000"),
+                     None, id="exp-of-mean-near-1000"),
         pytest.param("outcomes-1e308", {"--method": "ppi-mean"}, "non-finite interval: lower -inf, upper inf, ",
-                     id="ppi-mean-on-1e308"),
+                     None, id="ppi-mean-on-1e308"),
         pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
-                     id="classical-on-1e308"),
+                     None, id="classical-on-1e308"),
         pytest.param("values-1e160", {"--tune": ""},
-                     "tuning failure: non-finite moments (cov nan, denominator inf)", id="tuned-on-1e160"),
+                     "tuning failure: non-finite moments (cov nan, denominator inf)", None, id="tuned-on-1e160"),
+        # A pool thread does not inherit the caller's numpy error state.
+        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", 2, id="lambda-1e308-on-2-cpus"),
+        pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
+                     2, id="classical-on-1e308-on-2-cpus"),
     ])
-    def test_overflow_exits_4_with_one_line(self, tmp_path, capsys, data, flags, message):
+    def test_overflow_exits_4_with_one_line(self, monkeypatch, tmp_path, capsys, data, flags, message, cpus):
         if data is not None:
             flags = {**overflow_files(tmp_path, data), **flags}
+        if cpus is not None:
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         code, out, err = run_cli(infer_args(**flags), capsys)
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"ppboot: error: {message}")
@@ -594,6 +602,29 @@ class TestStudy:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["ppboot: error: logistic learner requires 0/1 outcomes"]
         assert not out_dir.exists()
+
+
+class TestLoopThreads:
+    """Reports do not depend on how many threads infer's mean and quantile loops run."""
+
+    @pytest.mark.parametrize("flags, loops", [({"--tune": ""}, 2), ({"--estimand": "quantile", "--q": "0.9"}, 1)],
+                             ids=["tuned-mean", "quantile"])
+    def test_infer_output_is_byte_identical(self, monkeypatch, capsys, flags, loops):
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            outputs.append(run_cli(infer_args(**flags), capsys))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert pools == [2] * loops
 
 
 class TestBlasThreads:

@@ -393,6 +393,17 @@ class TestWorkerProcesses:
             blobs.append({key: Path(path).read_bytes() for key, path in paths.items()})
         assert blobs[0] == blobs[1]
 
+    def test_cells_run_their_loops_on_one_thread(self, monkeypatch):
+        # Three usable CPUs: a mean interval given them would cut its loops across threads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        config = _study_config(trials=2, methods=("ppboot", "ppboot-tuned", "classical"))
+        assert run_coverage_study(_bern_data(), config).trials == 2
+
     def test_cells_run_in_child_processes(self, monkeypatch):
         # Two usable CPUs whatever the machine has, so two workers start.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -535,9 +546,9 @@ class TestSharedMainLoop:
         calls = []
         tune = boot.tune_lambda
 
-        def counting_tune(sides, tuning_B, stream):
+        def counting_tune(sides, tuning_B, stream, threads=1):
             calls.append(stream.path)
-            return tune(sides, tuning_B, stream)
+            return tune(sides, tuning_B, stream, threads)
 
         monkeypatch.setattr(boot, "tune_lambda", counting_tune)
         shared = _run_cell(full, config, (0, 0))
