@@ -20,7 +20,6 @@ Main, classical and tuning draws all come from one loop,
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections.abc import Sequence
@@ -49,11 +48,6 @@ TUNING_DENOM_FLOOR = 1e-15
 # arrays up front: 32 MB at this cap and three sides, while B = 10**15 would ask
 # for 32 PB and fail in that allocation.  The largest B this project runs is 1000.
 MAX_B = 10**6
-
-# The most iterations whose first attempts' stream keys are derived together:
-# enough to spread the hash's numpy calls thin (about 0.2 us a key at 1000),
-# few enough that its temporaries stay small at MAX_B.
-KEY_BLOCK = 4096
 
 # An interval's sides in order; argument checks and point-estimate failures name them.
 SIDE_NAMES = ("labeled outcomes", "labeled predictions", "unlabeled predictions")
@@ -182,24 +176,24 @@ def resample_estimates(
     reason code or a non-finite value) is redrawn up to
     ``max_degenerate_retries`` times, then the iteration is dropped.
 
-    Iterations run in chunks of :func:`estimators.chunk_length`: each side
-    estimates a chunk's attempts together, and only the degenerate members
-    are redrawn, at ``(b, r + 1)``.  Every attempt is a pure function of its
-    stream, so this draws and keeps exactly what one attempt at a time would.
-    The streams' Philox keys come from :func:`philox_keys`, for the first
-    attempts of up to ``KEY_BLOCK`` iterations at once and for a chunk's
-    redrawn members together, and every draw resets a generator of this
-    call's own to its key (:func:`draw_keyed_indices`).
+    Iterations run in chunks of :func:`estimators.chunk_length`, a length
+    that depends on the sides alone, and a chunk in rounds: the first round
+    attempts every iteration, each later one redraws only the degenerate
+    members, at ``(b, r + 1)``.  A round keys its attempts with one
+    :func:`philox_keys` call, draws on a generator of its worker's own reset
+    to each key (:func:`draw_keyed_indices`), and each side estimates the
+    round's attempts together.  Every attempt is a pure function of its
+    stream and a chunk writes only its own iterations, so this draws and
+    keeps exactly what one attempt at a time would.
 
     With ``threads`` above 1 and no side holding a count matrix (mean and
-    quantile, whose draw, gather, sort and sum release the GIL), each round
-    of a chunk's attempts is cut into at most ``threads`` contiguous parts.
-    This thread runs the first, and a pool of one thread fewer, started for
-    this call and joined before it returns, runs the others.  Each part
-    draws on a generator of its own, and the parts' estimates are joined in
-    iteration order before the keep step, so the result never depends on
-    ``threads``.  The count-matrix engine runs slower threaded and stays on
-    this thread.
+    quantile, whose draw, gather, sort and sum release the GIL), the chunks
+    are dealt out to ``W = min(threads, chunks)`` workers: worker ``i`` runs
+    chunks ``i, i + W, ...``.  This thread is worker 0, and a pool of
+    ``W - 1`` threads, started for this call and joined before it returns,
+    runs the others; a worker's exception is raised here.  The result never
+    depends on ``threads`` or on the order in which chunks finish.  The
+    count-matrix engine runs slower threaded and stays on this thread.
 
     Returns ``(rows, dropped, classical)``: one row per retained iteration, in
     iteration order, holding one estimate per side; the number of dropped
@@ -214,46 +208,24 @@ def resample_estimates(
     kept = np.zeros(B, dtype=bool)
     classical = np.empty(B)
     classical_kept = np.zeros(B, dtype=bool)
-    chunk = min(chunk_length(sides), KEY_BLOCK)
-    # A key block holds whole chunks.
-    block = chunk * (KEY_BLOCK // chunk)
-    attempts = 1 if max_degenerate_retries is None else max_degenerate_retries + 1
-    parts = 1 if any(side.rows for side in sides) else min(threads, chunk, B)
-    generators = [np.random.Generator(np.random.Philox(0)) for _ in range(parts)]
+    chunk = chunk_length(sides)
+    starts = range(0, B, chunk)
+    rounds = [None] if max_degenerate_retries is None else range(max_degenerate_retries + 1)
 
-    def estimate(generator, keys):
-        """Each side's values and keep mask, (attempts, sides) arrays, on the attempts keyed by ``keys``."""
-        labeled = [draw_keyed_indices(generator, key, n) for key, _ in keys]
-        ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
-        del labeled  # freed before the unlabeled draws, which are far larger one by one
-        ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
-                 for side in sides[2:]]
-        return (np.column_stack([v for v, _ in ests]),
-                np.column_stack([(codes == 0) & np.isfinite(v) for v, codes in ests]))
-
-    def split(keys):
-        """``estimate`` on contiguous parts of ``keys``, the first on this thread, joined in order."""
-        cuts = [len(keys) * i // parts for i in range(parts + 1)]
-        pieces = [keys[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
-        futures = [pool.submit(estimate, g, piece) for g, piece in zip(generators[1:], pieces[1:])]
-        done = [estimate(generators[0], pieces[0])] + [future.result() for future in futures]
-        return tuple(np.concatenate(arrays) for arrays in zip(*done))
-
-    with contextlib.ExitStack() as stack:
-        if parts > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = stack.enter_context(ThreadPoolExecutor(parts - 1))
-        for start in range(0, B, chunk):
-            if start % block == 0:
-                first = _attempt_keys(stream, range(start, min(start + block, B)),
-                                      None if max_degenerate_retries is None else 0)
+    def run_chunks(chunk_starts):
+        """Run the chunks that begin at ``chunk_starts``, drawing on a generator of this worker's own."""
+        generator = np.random.Generator(np.random.Philox(0))
+        for start in chunk_starts:
             pending = np.arange(start, min(start + chunk, B))
-            keys = first[start % block:][:pending.size]
-            for r in range(attempts):
-                if r:
-                    keys = _attempt_keys(stream, pending, r)
-                values, ok = split(keys) if parts > 1 else estimate(generators[0], keys)
+            for r in rounds:
+                keys = _attempt_keys(stream, pending, r)
+                labeled = [draw_keyed_indices(generator, key, n) for key, _ in keys]
+                ests = [side.estimates(labeled, len(keys)) for side in sides[:2]]
+                del labeled  # freed before the unlabeled draws, which are far larger one by one
+                ests += [side.estimates((draw_keyed_indices(generator, key, side.size) for _, key in keys), len(keys))
+                         for side in sides[2:]]
+                values = np.column_stack([v for v, _ in ests])
+                ok = np.column_stack([(codes == 0) & np.isfinite(v) for v, codes in ests])
                 fresh = ok[:, 0] & ~classical_kept[pending]
                 classical[pending[fresh]] = values[fresh, 0]
                 classical_kept[pending[fresh]] = True
@@ -263,6 +235,18 @@ def resample_estimates(
                 pending = pending[~good]
                 if not pending.size:
                     break
+
+    workers = 1 if any(side.rows for side in sides) else min(threads, len(starts))
+    if workers == 1:
+        run_chunks(starts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run_chunks, starts[i::workers]) for i in range(1, workers)]
+            run_chunks(starts[::workers])
+            for future in futures:
+                future.result()
     return rows[kept], B - int(np.count_nonzero(kept)), classical[classical_kept]
 
 

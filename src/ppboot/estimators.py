@@ -41,12 +41,12 @@ REPORT_TRANSFORMS = ("identity", "exp", "fisher_z_inverse")
 # Estimands of the outcomes alone; the others read feature columns too.
 OUTCOME_ONLY_KINDS = ("mean", "quantile")
 
-# A chunk's count matrix (resamples x merged rows, float64) stays within
-# CHUNK_BYTES: about 13 resamples at 9800 merged rows.  A mean or quantile
-# chunk holds only its labeled draws (resamples x n, int64), within
-# DRAW_CHUNK_BYTES: 32 resamples at n = 1000.  Four times that measured no
-# faster and 0.45 MB more peak memory on two threads at n = 1000, N = 100k
-# (a 2-vCPU Xeon).
+# A chunk's count matrix (resamples x merged rows, float64) and its labeled
+# draws (resamples x n, int64) each stay within CHUNK_BYTES: about 13
+# resamples at 9800 merged rows.  A mean or quantile chunk holds only its
+# labeled draws, within DRAW_CHUNK_BYTES: 32 resamples at n = 1000.  Four
+# times that measured no faster and 0.45 MB more peak memory on two threads
+# at n = 1000, N = 100k (a 2-vCPU Xeon).
 CHUNK_BYTES = 1 << 20
 DRAW_CHUNK_BYTES = 1 << 18
 # Band boundaries lie at bit BAND_OFFSET + k * width (see _split_bands).  Any
@@ -74,7 +74,7 @@ SEPARATION_TOL = 1e-10
 
 # The reason of each code the engine returns beside a value; code 0 is a clean estimate.
 REASONS = (None, "non-finite estimate", "constant variable", "singular design", "separation",
-           "constant outcome", "zero cell corrected")
+           "constant outcome", "empty cell")
 CODE = {reason: code for code, reason in enumerate(REASONS)}
 
 
@@ -83,12 +83,11 @@ class EstimateValue:
     """A scalar estimate plus an optional degeneracy reason.
 
     ``reason`` is ``None`` for a clean estimate.  A non-``None`` reason marks
-    the sample as degenerate for this estimand.  A log odds ratio table with
-    an empty cell is the one case that keeps a finite value: :func:`evaluate`
-    returns the log odds ratio with 0.5 added to every cell and the reason
-    ``"zero cell corrected"``; every interval path redraws such a resample,
-    as it does any other degenerate one, and a point estimate or a study's
-    ground truth on such a table fails.
+    the sample as degenerate for this estimand and comes with a value that
+    is not finite: the engine gives NaN, for example with ``"empty cell"``
+    for a log odds ratio table with an empty cell.  Every interval path
+    redraws such a resample, and a point estimate or a study's ground truth
+    on it fails.
     A clean estimate is finite: a non-finite value given without a reason
     gets the reason ``"non-finite estimate"``, so an unforeseen overflow
     never passes as a value.
@@ -666,11 +665,13 @@ class Resampler:
 def _log_odds_ratio(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log odds ratios and codes of exact 2x2 tables, rows of ``(n11, n10, n01, n00)``.
 
-    A table with an empty cell adds 0.5 to every cell and is flagged.
+    A table with an empty cell has no log odds ratio: NaN, flagged ``"empty cell"``.
     """
     empty = cells.min(axis=1) == 0.0
-    n11, n10, n01, n00 = np.where(empty[:, None], cells + 0.5, cells).T
-    return np.log((n11 * n00) / (n10 * n01)), np.where(empty, CODE["zero cell corrected"], 0).astype(np.int8)
+    # An empty table's cells read 1 here, so its discarded log never divides by zero.
+    n11, n10, n01, n00 = np.where(empty[:, None], 1.0, cells).T
+    return (np.where(empty, math.nan, np.log((n11 * n00) / (n10 * n01))),
+            np.where(empty, CODE["empty cell"], 0).astype(np.int8))
 
 
 def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "outcomes") -> Resampler:
@@ -710,15 +711,16 @@ def canonical_resampler(spec: EstimandSpec, features, outcomes, name: str = "out
 def chunk_length(resamplers) -> int:
     """Resamples per chunk: what a chunk holds for each resample stays within a byte bound.
 
-    That is a row of the largest count matrix (8-byte counts over merged
-    rows), within ``CHUNK_BYTES``, or where no side has one (mean and
-    quantile) the labeled draw, the first side's ``size`` indices of 8
-    bytes, within ``DRAW_CHUNK_BYTES``.  A mean or quantile side estimates
-    each unlabeled draw as it is drawn, so a chunk never holds N values per
-    resample.
+    That is the labeled draw, the first side's ``size`` indices of 8 bytes,
+    or where it is larger, a row of the largest count matrix (8-byte counts
+    over merged rows), within ``CHUNK_BYTES``; where no side has a count
+    matrix (mean and quantile), the labeled draw within ``DRAW_CHUNK_BYTES``.
+    A side estimates each unlabeled draw as it is drawn, so a chunk never
+    holds N indices per resample.
     """
     rows = max(r.rows for r in resamplers)
-    return max(1, CHUNK_BYTES // (8 * rows) if rows else DRAW_CHUNK_BYTES // (8 * resamplers[0].size))
+    n = resamplers[0].size
+    return max(1, CHUNK_BYTES // (8 * max(rows, n)) if rows else DRAW_CHUNK_BYTES // (8 * n))
 
 
 def evaluate(spec: EstimandSpec, features, outcomes) -> EstimateValue:

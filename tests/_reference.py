@@ -40,18 +40,15 @@ def nearest_rank(values, q: float) -> float:
 def log_odds_ratio(exposure, outcomes) -> tuple[float, str | None]:
     """The log odds ratio of the 2x2 table counted from the rows, and its reason.
 
-    A table with an empty cell adds 0.5 to every cell (Haldane's correction)
-    and is flagged ``"zero cell corrected"``.
+    A table with an empty cell has none: NaN and ``"empty cell"``.
     """
     cells = {(1, 1): 0, (1, 0): 0, (0, 1): 0, (0, 0): 0}
     for e, y in zip(exposure, outcomes):
         cells[int(e), int(y)] += 1
     n11, n10, n01, n00 = (cells[key] for key in ((1, 1), (1, 0), (0, 1), (0, 0)))
-    reason = None
     if 0 in (n11, n10, n01, n00):
-        n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
-        reason = "zero cell corrected"
-    return math.log((n11 * n00) / (n10 * n01)), reason
+        return math.nan, "empty cell"
+    return math.log((n11 * n00) / (n10 * n01)), None
 
 
 def pearson(x, y) -> tuple[float, str | None]:
@@ -66,23 +63,47 @@ def pearson(x, y) -> tuple[float, str | None]:
     return sxy / math.sqrt(sxx * syy), None
 
 
-def est_value(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> float | None:
-    """The estimate of ``kind`` on one sample, or ``None`` where the sample is degenerate.
+def ols(design, outcomes, target: int) -> tuple[float, str | None]:
+    """Coefficient ``target`` of the least-squares fit by ``np.linalg.lstsq`` on the rows, and its reason.
 
-    ``column`` is the exposure column of the log odds ratio and the feature
-    column of the Pearson correlation.
+    Each column is first divided by the power of two that puts its largest
+    magnitude in [1/2, 1) (a zero column is left alone); numpy's default
+    rank cut, ``eps * max(rows, columns)`` times the largest singular value,
+    then applies, and a rank below the column count is ``"singular design"``.
+    """
+    A = np.asarray(design, dtype=float)
+    scale = 2.0 ** np.frexp(np.max(np.abs(A), axis=0))[1]
+    beta, _, rank, _ = np.linalg.lstsq(A / scale, np.asarray(outcomes, dtype=float), rcond=None)
+    if rank < A.shape[1]:
+        return math.nan, "singular design"
+    return float(beta[target] / scale[target]), None
+
+
+def estimate(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> tuple[float, str | None]:
+    """The estimate of ``kind`` on one sample and its reason, ``None`` for a clean one.
+
+    ``column`` is the exposure column of the log odds ratio, the feature
+    column of the Pearson correlation and the target coefficient of OLS,
+    whose design is the features and a trailing intercept column.
     """
     y = np.asarray(outcomes, dtype=float)
     if kind == "mean":
-        value, reason = float(np.mean(y)), None
-    elif kind == "quantile":
-        value, reason = nearest_rank(y, q), None
-    elif kind == "log_odds_ratio":
-        value, reason = log_odds_ratio(np.asarray(features)[:, column], y)
-    elif kind == "pearson_corr":
-        value, reason = pearson(np.asarray(features)[:, column], y)
-    else:
-        raise ValueError(kind)
+        return float(np.mean(y)), None
+    if kind == "quantile":
+        return nearest_rank(y, q), None
+    X = np.asarray(features, dtype=float)
+    if kind == "log_odds_ratio":
+        return log_odds_ratio(X[:, column], y)
+    if kind == "pearson_corr":
+        return pearson(X[:, column], y)
+    if kind == "ols_coef":
+        return ols(np.column_stack([X, np.ones(y.size)]), y, column)
+    raise ValueError(kind)
+
+
+def est_value(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> float | None:
+    """The estimate of ``kind`` on one sample (:func:`estimate`), or ``None`` where the sample is degenerate."""
+    value, reason = estimate(kind, features, outcomes, q, column)
     return value if reason is None and math.isfinite(value) else None
 
 

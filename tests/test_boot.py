@@ -345,15 +345,15 @@ class TestOneDrawPerSide:
 
 
 class TestKeyedLoop:
-    """The loop keys its streams in blocks, with a generator of its own."""
+    """The loop keys each round of a chunk together, with a generator of its own."""
 
-    @pytest.mark.parametrize("key_block, chunk_bytes", [(1, None), (3, None), (7, 16), (7, 48)])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 6])
     @pytest.mark.parametrize("spec, n, N", [
         (EstimandSpec("log_odds_ratio", exposure_column=0), 8, 20),
         (EstimandSpec("ols_coef"), 12, 30),
         (MEAN, 12, 30),
     ], ids=["log-odds-ratio", "ols", "mean"])
-    def test_block_edges_keep_every_draw(self, monkeypatch, stream, key_block, chunk_bytes, spec, n, N):
+    def test_block_edges_keep_every_draw(self, monkeypatch, stream, chunk, spec, n, N):
         g = np.random.default_rng(31)
         binary = spec.kind == "log_odds_ratio"
         features = [(g.random((m, 1)) < 0.5).astype(float) if binary else g.standard_normal((m, 1)) for m in (n, N)]
@@ -363,30 +363,52 @@ class TestKeyedLoop:
         sides = interval_resamplers(labeled, unlabeled, spec)
         [whole] = ppboot_draws(sides, [1.0], 40, stream, 3)
         tuned = tune_lambda(sides, 40, stream.child(PHASE_TUNING))
-        monkeypatch.setattr(boot, "KEY_BLOCK", key_block)
-        if chunk_bytes is not None:
-            # Chunks of two and of six iterations, under a KEY_BLOCK of seven: a mean chunk holds
-            # the n labeled indices of each resample, the others a row of the largest count matrix.
-            monkeypatch.setattr(estimators, "CHUNK_BYTES", chunk_bytes * max(side.rows for side in sides))
-            monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", chunk_bytes * n)
-        [blocked] = ppboot_draws(sides, [1.0], 40, stream, 3)
-        assert blocked[1] == whole[1]
-        assert blocked[0].tobytes() == whole[0].tobytes()
+        # A mean chunk holds the n labeled indices of each resample, the others
+        # those or a row of the largest count matrix, whichever is longer.
+        monkeypatch.setattr(estimators, "CHUNK_BYTES", 8 * chunk * max(n, *(side.rows for side in sides)))
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * chunk * n)
+        assert estimators.chunk_length(sides) == chunk
+        [chunked] = ppboot_draws(sides, [1.0], 40, stream, 3)
+        assert chunked[1] == whole[1]
+        assert chunked[0].tobytes() == whole[0].tobytes()
         assert tune_lambda(sides, 40, stream.child(PHASE_TUNING)) == tuned
 
-    def test_first_attempt_keys_come_in_bounded_blocks(self, monkeypatch, stream):
-        labeled, unlabeled = make_pair(n=5, N=9, seed=8)
-        rows = []
+    def test_a_chunk_holds_its_labeled_draws_within_the_byte_bound(self):
+        # A log odds ratio side merges into at most four rows, so its count
+        # matrix alone would allow chunks of 32768 draws of n indices each.
+        g = np.random.default_rng(5)
+        n = 4096
+        binary = [(g.random(n) < 0.5).astype(float) for _ in range(4)]
+        labeled = LabeledDataset(binary[0][:, None], binary[1], binary[2])
+        unlabeled = UnlabeledDataset(binary[0][:, None], binary[3])
+        sides = interval_resamplers(labeled, unlabeled, EstimandSpec("log_odds_ratio"))
+        assert max(side.rows for side in sides) <= 4
+        assert 8 * n * estimators.chunk_length(sides) <= estimators.CHUNK_BYTES
+
+    @pytest.mark.parametrize("retries", [2, None], ids=["main", "tuning"])
+    def test_each_key_call_covers_one_chunk_round(self, monkeypatch, stream, retries):
+        labeled, unlabeled, spec, _ = _threads_case("mean-1e308")
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * 6)
+        calls = []
         keys = boot.philox_keys
 
         def recording_keys(base, tails):
-            rows.append(len(tails))
+            calls.append(np.asarray(tails))
             return keys(base, tails)
 
         monkeypatch.setattr(boot, "philox_keys", recording_keys)
-        monkeypatch.setattr(boot, "KEY_BLOCK", 64)
-        ppboot_draws(interval_resamplers(labeled, unlabeled, MEAN), [1.0], 300, stream)
-        assert rows == [64, 64, 64, 64, 44]
+        _, dropped, _ = resample_estimates(sides, 40, stream, retries)
+        chunks = [set(range(start, min(start + 6, 40))) for start in range(0, 40, 6)]
+        # Each call keys one round: the iterations still pending in one chunk, at one attempt.
+        assert all(any(set(tails[:, 0].tolist()) <= chunk for chunk in chunks) for tails in calls)
+        if retries is None:
+            assert [set(tails[:, 0].tolist()) for tails in calls] == chunks
+            assert all(tails.shape[1] == 1 for tails in calls)
+        else:
+            assert all(len(set(tails[:, 1].tolist())) == 1 for tails in calls)
+            assert [set(tails[:, 0].tolist()) for tails in calls if tails[0, 1] == 0] == chunks
+            assert dropped > 0 and len(calls) > len(chunks)
 
     def test_threads_give_the_sequential_intervals(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -412,15 +434,26 @@ def _threads_case(case):
     return labeled, unlabeled, spec, BootstrapConfig(B=40, lambda_mode=mode, lambda_value=0.6, max_degenerate_retries=2)
 
 
+class _InlinePool(concurrent.futures.Executor):
+    """A pool that runs each task as it is submitted, so its chunks finish before the caller's."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestThreadedLoop:
-    """A mean or quantile loop cut across threads keeps every bit of the loop on one thread."""
+    """A mean or quantile loop dealt out across threads keeps every bit of the loop on one thread."""
 
     @pytest.mark.parametrize("chunk", [2, 6])
     @pytest.mark.parametrize("case", ["tuned-mean", "fixed-mean", "quantile", "mean-1e308"])
     def test_thread_count_never_changes_a_result(self, monkeypatch, stream, case, chunk):
         labeled, unlabeled, spec, cfg = _threads_case(case)
         sides = interval_resamplers(labeled, unlabeled, spec)
-        monkeypatch.setattr(boot, "KEY_BLOCK", 7)
         # Chunks of two and of six iterations: a mean or quantile chunk holds 8-byte labeled indices.
         monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * chunk)
         results = []
@@ -437,9 +470,24 @@ class TestThreadedLoop:
         assert isinstance(results[0][-1], boot.ConfidenceInterval)
         assert (results[0][1] > 0) == (case == "mean-1e308")
 
-    @pytest.mark.parametrize("spec, chunk, pools", [(MEAN, 2, [1]), (MEAN, 6, [2]), (EstimandSpec("ols_coef"), 6, [])],
-                             ids=["mean-chunks-of-2", "mean-chunks-of-6", "ols"])
-    def test_a_loop_joins_at_most_one_thread_fewer_than_its_parts(self, monkeypatch, stream, spec, chunk, pools):
+    @pytest.mark.parametrize("case", ["fixed-mean", "quantile", "mean-1e308"])
+    def test_chunk_order_never_changes_a_result(self, monkeypatch, stream, case):
+        labeled, unlabeled, spec, cfg = _threads_case(case)
+        sides = interval_resamplers(labeled, unlabeled, spec)
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * 3)
+        results = []
+        for threads in (1, 3):
+            rows, dropped, classical = resample_estimates(sides, 40, stream, cfg.max_degenerate_retries, threads)
+            tuning_rows, _, _ = resample_estimates(sides, 40, stream, None, threads)
+            results.append((rows.tobytes(), dropped, classical.tobytes(), tuning_rows.tobytes()))
+            # The other workers' chunks then all finish before the calling thread's first.
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("spec, chunk, pools", [
+        (MEAN, 2, [2]), (MEAN, 20, [1]), (MEAN, 40, []), (EstimandSpec("ols_coef"), 6, []),
+    ], ids=["mean-20-chunks", "mean-2-chunks", "mean-1-chunk", "ols"])
+    def test_a_loop_joins_at_most_one_thread_fewer_than_its_chunks(self, monkeypatch, stream, spec, chunk, pools):
         started = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -454,6 +502,23 @@ class TestThreadedLoop:
         before = threading.active_count()
         resample_estimates(sides, 40, stream, 2, 3)
         assert started == pools
+        assert threading.active_count() == before
+
+    def test_a_pool_worker_failure_is_raised_after_the_join(self, monkeypatch, stream):
+        labeled, unlabeled = make_pair(n=12, N=30, seed=38)
+        sides = interval_resamplers(labeled, unlabeled, MEAN)
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * labeled.n * 2)
+        caller, draw = threading.get_ident(), boot.draw_keyed_indices
+
+        def failing_draw(generator, key, size):
+            if threading.get_ident() != caller:
+                raise MemoryError("pool worker")
+            return draw(generator, key, size)
+
+        monkeypatch.setattr(boot, "draw_keyed_indices", failing_draw)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^pool worker$"):
+            resample_estimates(sides, 40, stream, 2, 2)
         assert threading.active_count() == before
 
 

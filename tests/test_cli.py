@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ppboot
-from ppboot import cli
+from ppboot import cli, estimators
 from ppboot.baselines import imputed_interval, ppi_mean_interval
 from ppboot.boot import MAX_B, BootstrapConfig, ppboot_interval, reported_interval
 from ppboot.cli import main
@@ -618,6 +618,8 @@ class TestLoopThreads:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        # Chunks of 16 resamples of the fixture's 6 labeled rows: B = 200 spans 13 chunks.
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 8 * 6 * 16)
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)

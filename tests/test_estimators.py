@@ -209,13 +209,12 @@ class TestLogOddsRatio:
         outcome = [1.0] * 5 + [0.0] * 5 + [1.0] * 5 + [0.0] * 5
         assert estimate("log_odds_ratio", exposure[:, None], outcome).value == pytest.approx(0.0, abs=1e-15)
 
-    def test_identical_vectors_corrected(self):
+    def test_identical_vectors_leave_an_empty_cell(self):
         v = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
         est = estimate("log_odds_ratio", v[:, None], v)
-        assert est.reason == "zero cell corrected"
-        assert math.isfinite(est.value)
-        # counts become (3.5, .5, .5, 2.5) after correction
-        assert est.value == pytest.approx(math.log(3.5 * 2.5 / 0.25), abs=1e-12)
+        # counts (3, 0, 0, 2): no log odds ratio, and no corrected one
+        assert est.reason == "empty cell"
+        assert math.isnan(est.value)
 
     def test_antisymmetric_under_outcome_flip(self):
         g = np.random.default_rng(8)

@@ -1,10 +1,12 @@
-"""Whole intervals of the log odds ratio and the Pearson correlation against textbook forms.
+"""Whole intervals of the log odds ratio, the Pearson correlation and OLS against textbook forms.
 
 ``tests/_reference.py`` counts each resample's 2x2 table, correlates by the
-centred formula and applies the retry-and-drop rule in a plain loop over the
-streams; nothing in it comes from the package but its errors.  The problems
-are small so that resamples often degenerate: tables with an empty cell, and
-a feature column that is constant but for two rows.
+centred formula, fits OLS by ``np.linalg.lstsq`` on the drawn rows and
+applies the retry-and-drop rule in a plain loop over the streams; nothing in
+it comes from the package but its errors.  The problems are small so that
+resamples often degenerate: tables with an empty cell, a feature column that
+is constant but for two rows, and a 0/1 column with two 1s, which a resample
+often draws all 0, leaving the design singular.
 """
 
 import math
@@ -58,18 +60,41 @@ def pearson_problem(seed):
     return np.column_stack([g.standard_normal(n), x]), y, f, np.column_stack([g.standard_normal(N), xu]), fu
 
 
-PROBLEMS = {"log_odds_ratio": odds_problem, "pearson_corr": pearson_problem}
+def ols_problem(seed, rare=False):
+    """Two features and a linear outcome; with ``rare``, the target column is 0/1 with two 1s on each side."""
+    g = np.random.default_rng(seed)
+    n, N = 15, 30
+    X, Xu = g.standard_normal((n, 2)), g.standard_normal((N, 2))
+    if rare:
+        X[:, COLUMN], Xu[:, COLUMN] = 0.0, 0.0
+        X[:2, COLUMN], Xu[:2, COLUMN] = 1.0, 1.0
+    y = X @ [0.5, -1.0] + g.standard_normal(n)
+    f = y + 0.5 * g.standard_normal(n)
+    fu = Xu @ [0.5, -1.0] + 0.5 * g.standard_normal(N)
+    return X, y, f, Xu, fu
+
+
+# Each problem's estimand and data; all but "ols" often degenerate.
+PROBLEMS = {
+    "log_odds_ratio": ("log_odds_ratio", odds_problem),
+    "pearson_corr": ("pearson_corr", pearson_problem),
+    "ols": ("ols_coef", ols_problem),
+    "ols-rare-binary": ("ols_coef", lambda seed: ols_problem(seed, rare=True)),
+}
+DEGENERATE = ["log_odds_ratio", "pearson_corr", "ols-rare-binary"]
 
 
 def spec_of(kind):
-    return EstimandSpec(kind, exposure_column=COLUMN, feature_column=COLUMN)
+    return EstimandSpec(kind, target_index=COLUMN, exposure_column=COLUMN, feature_column=COLUMN)
 
 
 @pytest.mark.parametrize("retries", [10, 1])
 @pytest.mark.parametrize("lam", [1.0, 0.6, 0.0])
-@pytest.mark.parametrize("kind, seed", [("log_odds_ratio", 0), ("log_odds_ratio", 2), ("pearson_corr", 2)])
-def test_interval_is_the_textbook_interval(kind, seed, lam, retries):
-    X, y, f, Xu, fu = PROBLEMS[kind](seed)
+@pytest.mark.parametrize("problem, seed", [("log_odds_ratio", 0), ("log_odds_ratio", 2), ("pearson_corr", 2),
+                                           ("ols", 0), ("ols-rare-binary", 3)])
+def test_interval_is_the_textbook_interval(problem, seed, lam, retries):
+    kind, make = PROBLEMS[problem]
+    X, y, f, Xu, fu = make(seed)
     cfg = BootstrapConfig(B=B, alpha=0.1, lambda_mode="fixed", lambda_value=lam, max_degenerate_retries=retries)
     ci = ppboot_interval(LabeledDataset(X, y, f), UnlabeledDataset(Xu, fu), spec_of(kind), cfg, RngStream(seed, (4,)))
     lower, upper, values = ref.ppboot_interval(X, y, f, Xu, fu, kind, lam, B, 0.1, seed, (4,),
@@ -84,19 +109,20 @@ def test_interval_is_the_textbook_interval(kind, seed, lam, retries):
     assert ci.point_estimate == pytest.approx(point, abs=1e-8)
 
 
-@pytest.mark.parametrize("kind", list(PROBLEMS))
-def test_problems_exercise_the_retry_and_drop_rule(kind):
+@pytest.mark.parametrize("problem", DEGENERATE)
+def test_problems_exercise_the_retry_and_drop_rule(problem):
     # Some iteration of each problem is dropped after one retry: the cases
     # above check the dropped count, not only the endpoints.
-    X, y, f, Xu, fu = PROBLEMS[kind](2)
+    kind, make = PROBLEMS[problem]
+    X, y, f, Xu, fu = make(2)
     _, _, values = ref.ppboot_interval(X, y, f, Xu, fu, kind, 1.0, B, 0.1, 2, (4,), column=COLUMN, max_retries=1)
     assert 0 < B - len(values) < B // 2
 
 
 def test_fewer_than_half_kept_fails_in_both():
-    # The labeled predictions' table has an empty cell, so every resample of it is corrected.
+    # The labeled predictions' table has an empty cell, so every resample of it has one too.
     X, y, f, Xu, fu = odds_problem(1)
-    assert ref.log_odds_ratio(X[:, COLUMN], f)[1] == "zero cell corrected"
+    assert ref.log_odds_ratio(X[:, COLUMN], f)[1] == "empty cell"
     cfg = BootstrapConfig(B=B, lambda_mode="fixed", lambda_value=1.0)
     with pytest.raises(EstimationError, match=r"^bootstrap failure: only 0 of 200 iterations usable"):
         ppboot_interval(LabeledDataset(X, y, f), UnlabeledDataset(Xu, fu), spec_of("log_odds_ratio"), cfg,
@@ -106,18 +132,19 @@ def test_fewer_than_half_kept_fails_in_both():
 
 
 @pytest.mark.parametrize("side", ["labeled", "unlabeled"])
-@pytest.mark.parametrize("kind", list(PROBLEMS))
-def test_each_resample_is_the_textbook_value_and_reason(kind, side):
+@pytest.mark.parametrize("problem", DEGENERATE)
+def test_each_resample_is_the_textbook_value_and_reason(problem, side):
     # Degenerate resamples never reach an interval, so their values are
-    # compared here: a corrected table's value, and each reason code.
-    X, y, _, Xu, fu = PROBLEMS[kind](0)
+    # compared here: NaN where a table has an empty cell, and each reason code.
+    kind, make = PROBLEMS[problem]
+    X, y, _, Xu, fu = make(0)
     if side == "unlabeled":
         X, y = Xu, fu
     draws = [ref.labeled_indices(y.size, 9, (b,)) for b in range(300)]
     values, codes = canonical_resampler(spec_of(kind), X, y).estimates(draws, len(draws))
     reasons = set()
     for idx, value, code in zip(draws, values.tolist(), codes.tolist()):
-        expected, reason = (ref.log_odds_ratio if kind == "log_odds_ratio" else ref.pearson)(X[idx, COLUMN], y[idx])
+        expected, reason = ref.estimate(kind, X[idx], y[idx], column=COLUMN)
         assert REASONS[code] == reason
         reasons.add(reason)
         if math.isnan(expected):

@@ -1,4 +1,9 @@
-"""The package's public surface: every exported name exists, and its imports stay within numpy and the stdlib."""
+"""The package's public surface and imports.
+
+Every exported name exists, the imports stay within numpy and the stdlib,
+and no module imports a name it never reads or defines a constant that
+nothing reads.
+"""
 
 import ast
 import sys
@@ -41,3 +46,36 @@ def test_package_imports_only_the_stdlib_and_numpy():
 def test_no_test_imports_scipy():
     tests = Path(__file__).parent
     assert [path.name for path in sorted(tests.rglob("*.py")) if "scipy" in _imported_modules(path)] == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """The names a tree reads: each loaded name, each attribute after a dot, and each string in ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_every_import_and_constant_is_read():
+    package = Path(ppboot.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))}
+    unread_imports = {}
+    for name, tree in trees.items():
+        bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        unread_imports[name] = bound - _names_read(tree)
+    # An upper-case name bound at a module's top level is a constant.
+    constants = {target.id for tree in trees.values() for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    read = set().union(*(_names_read(tree) for tree in trees.values()))
+    assert len(constants) > 10
+    assert {name: unread for name, unread in unread_imports.items() if unread} == {}
+    assert sorted(constants - read) == []

@@ -204,11 +204,9 @@ def unmerged_estimate(spec, X, y) -> EstimateValue:
     if spec.kind == "log_odds_ratio":
         e = X[:, spec.exposure_column]
         n11, n10, n01, n00 = (float(np.sum((e == a) & (y == b))) for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)))
-        reason = None
         if min(n11, n10, n01, n00) == 0.0:
-            n11, n10, n01, n00 = n11 + 0.5, n10 + 0.5, n01 + 0.5, n00 + 0.5
-            reason = "zero cell corrected"
-        return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))), reason)
+            return EstimateValue(math.nan, "empty cell")
+        return EstimateValue(float(np.log((n11 * n00) / (n10 * n01))))
     if spec.kind == "pearson_corr":
         x = X[:, spec.feature_column]
         if np.all(x == x[0]) or np.all(y == y[0]):
