@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,6 +145,28 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def deal(work: Callable[[Sequence], object], items: Sequence, threads: int) -> list:
+    """``[work(items[i::W]) for i in range(W)]``, the workers at once, with ``W = min(threads, len(items))``.
+
+    This thread is worker 0, and a pool of ``W - 1`` threads, started for
+    this call and joined before it returns, runs the others, each in a copy
+    of this thread's context (numpy's error state is a context variable).
+    A worker's exception is raised here.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, len(items))
+    parts = [items[i::workers] for i in range(workers)]
+    if workers < 2:
+        return [work(part) for part in parts]
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, work, part) for part in parts[1:]]
+        return [work(parts[0])] + [future.result() for future in futures]
+
+
 def _attempt_keys(stream: RngStream, iterations, r: int | None) -> list:
     """``(labeled key, unlabeled key)`` of attempt ``r`` of each iteration, as Python ints.
 
@@ -188,12 +210,10 @@ def resample_estimates(
 
     With ``threads`` above 1 and no side holding a count matrix (mean and
     quantile, whose draw, gather, sort and sum release the GIL), the chunks
-    are dealt out to ``W = min(threads, chunks)`` workers: worker ``i`` runs
-    chunks ``i, i + W, ...``.  This thread is worker 0, and a pool of
-    ``W - 1`` threads, started for this call and joined before it returns,
-    runs the others; a worker's exception is raised here.  The result never
-    depends on ``threads`` or on the order in which chunks finish.  The
-    count-matrix engine runs slower threaded and stays on this thread.
+    are dealt out by :func:`deal`: of ``W = min(threads, chunks)`` workers,
+    worker ``i`` runs chunks ``i, i + W, ...``.  The result never depends on
+    ``threads`` or on the order in which chunks finish.  The count-matrix
+    engine runs slower threaded and stays on this thread.
 
     Returns ``(rows, dropped, classical)``: one row per retained iteration, in
     iteration order, holding one estimate per side; the number of dropped
@@ -236,17 +256,7 @@ def resample_estimates(
                 if not pending.size:
                     break
 
-    workers = 1 if any(side.rows for side in sides) else min(threads, len(starts))
-    if workers == 1:
-        run_chunks(starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run_chunks, starts[i::workers]) for i in range(1, workers)]
-            run_chunks(starts[::workers])
-            for future in futures:
-                future.result()
+    deal(run_chunks, starts, 1 if any(side.rows for side in sides) else threads)
     return rows[kept], B - int(np.count_nonzero(kept)), classical[classical_kept]
 
 

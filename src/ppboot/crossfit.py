@@ -3,6 +3,9 @@
 K fold models are trained once on the original labeled data (never retrained
 inside the bootstrap loop): each labeled point is predicted by the model that
 excluded its fold, and each unlabeled point by the average of all K models.
+The K models predict the unlabeled points up to ``threads`` at a time
+(:func:`boot.deal`), and their predictions are added in model order, so the
+average's bits never depend on the thread count; a study cell passes one.
 A data-splitting baseline that spends a fraction of the labeled data on
 training a single model is provided for comparison.
 
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boot import BootstrapConfig, ConfidenceInterval, ppboot_interval
+from .boot import BootstrapConfig, ConfidenceInterval, deal, ppboot_interval
 from .data import LabeledDataset, UnlabeledDataset
 from .errors import EstimationError, check_config
 from .estimators import EstimandSpec, _sigmoid, fit_least_squares, fit_logistic, with_intercept
@@ -197,10 +200,15 @@ def train_fold_models(features, outcomes, fold_of, learner) -> list[Predictor]:
 
 
 def assemble_cross_predictions(
-    features, unlabeled_features, fold_of, models: list[Predictor]
+    features, unlabeled_features, fold_of, models: list[Predictor], threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Held-out predictions for labeled rows (model ``j`` predicts fold ``j``);
-    ensemble average for unlabeled rows."""
+    ensemble average for unlabeled rows.
+
+    The models predict the unlabeled rows in rounds of ``threads``, one model
+    per worker of :func:`boot.deal`, and their predictions are added in model
+    order, so the result never depends on ``threads``.
+    """
     X = np.asarray(features, dtype=np.float64)
     Xu = np.asarray(unlabeled_features, dtype=np.float64)
     fold_of = _fold_ids(fold_of, X.shape[0], len(models))
@@ -210,8 +218,9 @@ def assemble_cross_predictions(
         if rows.size:
             labeled_preds[rows] = model(X[rows])
     unlabeled_preds = np.zeros(Xu.shape[0])
-    for model in models:
-        unlabeled_preds += model(Xu)
+    for first in range(0, len(models), threads):
+        for preds in deal(lambda part: part[0](Xu), models[first:first + threads], threads):
+            unlabeled_preds += preds
     unlabeled_preds /= len(models)
     return labeled_preds, unlabeled_preds
 
@@ -232,7 +241,9 @@ def cross_ppboot_interval(
     Predictions are fixed before the bootstrap loop; fold randomness lives at
     the stream's ``(PHASE_SPLIT, FOLD_SPLIT_TAG)`` child so the bootstrap
     phases stay aligned with the non-cross-fitted methods.  ``threads`` caps
-    the bootstrap loops' threads, as in ``boot.ppboot_interval``.
+    the threads of the ensemble's unlabeled predictions
+    (:func:`assemble_cross_predictions`) and of the bootstrap loops, as in
+    ``boot.ppboot_interval``.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(outcomes, dtype=np.float64)
@@ -241,7 +252,7 @@ def cross_ppboot_interval(
     # non-finite predictions that follow fail the dataset's check.
     with np.errstate(over="ignore", invalid="ignore"):
         models = train_fold_models(X, y, fold_of, learner)
-        labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models)
+        labeled_preds, unlabeled_preds = assemble_cross_predictions(X, unlabeled_features, fold_of, models, threads)
     labeled = LabeledDataset(X, y, labeled_preds)
     unlabeled = UnlabeledDataset(unlabeled_features, unlabeled_preds)
     return ppboot_interval(labeled, unlabeled, spec, cfg, stream, threads)

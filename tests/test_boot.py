@@ -522,6 +522,63 @@ class TestThreadedLoop:
         assert threading.active_count() == before
 
 
+class TestDeal:
+    """``boot.deal``: the one place a loop starts threads."""
+
+    @pytest.mark.parametrize("threads, items, pools", [
+        (3, 10, [2]), (2, 10, [1]), (3, 2, [1]), (1, 10, []), (3, 1, []), (3, 0, []),
+    ])
+    def test_starts_one_thread_fewer_than_its_workers(self, monkeypatch, threads, items, pools):
+        started = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        before = threading.active_count()
+        results = boot.deal(list, list(range(items)), threads)
+        assert started == pools
+        assert len(results) == min(threads, items)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("pool", ["threads", "inline"])
+    def test_results_come_back_in_worker_order(self, monkeypatch, pool):
+        if pool == "inline":
+            # The other workers then all finish before the calling thread's.
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+        assert boot.deal(list, list(range(7)), 3) == [[0, 3, 6], [1, 4], [2, 5]]
+
+    def test_worker_0_runs_on_the_calling_thread(self):
+        ran_on = boot.deal(lambda part: (part, threading.get_ident()), list(range(6)), 3)
+        assert [part for part, _ in ran_on] == [[0, 3], [1, 4], [2, 5]]
+        assert ran_on[0][1] == threading.get_ident()
+        assert threading.get_ident() not in {ident for _, ident in ran_on[1:]}
+
+    def test_a_pool_worker_keeps_the_callers_numpy_error_state(self):
+        with np.errstate(over="ignore", invalid="raise"):
+            states = boot.deal(lambda part: (np.geterr()["over"], np.geterr()["invalid"]), list(range(3)), 3)
+        assert states == [("ignore", "raise")] * 3
+        assert np.geterr()["over"] != "ignore"
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_a_workers_exception_is_raised_after_the_join(self, failing):
+        def work(part):
+            if part[0] == failing:
+                raise MemoryError(f"worker {failing}")
+            return part
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"^worker {failing}$"):
+            boot.deal(work, list(range(6)), 3)
+        assert threading.active_count() == before
+
+    def test_fewer_than_one_thread_is_rejected(self):
+        with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
+            boot.deal(list, [1, 2], 0)
+
+
 class TestTuneLambda:
     def test_pure_noise_lambda_near_zero(self):
         g = np.random.default_rng(20)

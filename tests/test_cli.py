@@ -243,26 +243,26 @@ class TestInfer:
         assert code == 4
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("data, flags, message, cpus", [
-        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", None, id="lambda-1e308"),
+    # A pool thread does not inherit the caller's numpy error state: at 3 CPUs
+    # the loops (and the fold models' predictions) run on a pool.
+    @pytest.mark.parametrize("cpus", [1, 3], ids=["1-cpu", "3-cpus"])
+    @pytest.mark.parametrize("data, flags, message", [
+        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", id="lambda-1e308"),
         pytest.param("mean-near-1000", {"--transform": "exp"}, "non-finite interval: lower inf, upper inf, point inf",
-                     None, id="exp-of-mean-near-1000"),
+                     id="exp-of-mean-near-1000"),
         pytest.param("outcomes-1e308", {"--method": "ppi-mean"}, "non-finite interval: lower -inf, upper inf, ",
-                     None, id="ppi-mean-on-1e308"),
+                     id="ppi-mean-on-1e308"),
         pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
-                     None, id="classical-on-1e308"),
+                     id="classical-on-1e308"),
         pytest.param("values-1e160", {"--tune": ""},
-                     "tuning failure: non-finite moments (cov nan, denominator inf)", None, id="tuned-on-1e160"),
-        # A pool thread does not inherit the caller's numpy error state.
-        pytest.param(None, {"--lambda": "1e308"}, "non-finite interval: lower -inf, ", 2, id="lambda-1e308-on-2-cpus"),
-        pytest.param("outcomes-1e308", {"--method": "classical"}, "bootstrap failure: only 0 of 200 iterations usable",
-                     2, id="classical-on-1e308-on-2-cpus"),
+                     "tuning failure: non-finite moments (cov nan, denominator inf)", id="tuned-on-1e160"),
     ])
     def test_overflow_exits_4_with_one_line(self, monkeypatch, tmp_path, capsys, data, flags, message, cpus):
         if data is not None:
             flags = {**overflow_files(tmp_path, data), **flags}
-        if cpus is not None:
-            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        # Chunks of at most 21 resamples of 6 or more labeled rows: B = 200 spans at least 10 chunks.
+        monkeypatch.setattr(estimators, "DRAW_CHUNK_BYTES", 1 << 10)
         code, out, err = run_cli(infer_args(**flags), capsys)
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith(f"ppboot: error: {message}")
@@ -275,9 +275,11 @@ class TestInfer:
         assert (code, err) == (0, "")
         assert list(json.loads(out)) == JSON_KEY_ORDER
 
+    @pytest.mark.parametrize("cpus", [1, 3], ids=["1-cpu", "3-cpus"])
     @pytest.mark.parametrize("estimand", ["mean", "ols_coef"])
     @pytest.mark.parametrize("learner", ["knn", "linear_least_squares"])
-    def test_learner_overflow_prints_only_the_error_line(self, tmp_path, capsys, learner, estimand):
+    def test_learner_overflow_prints_only_the_error_line(self, monkeypatch, tmp_path, capsys, learner, estimand, cpus):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         flags = {**overflow_files(tmp_path, "outcomes-1e308"), "--estimand": estimand, "--crossfit": "3",
                  "--learner": learner, "--seed": "1"}
         code, out, err = run_cli(infer_args(**flags), capsys)
@@ -607,8 +609,10 @@ class TestStudy:
 class TestLoopThreads:
     """Reports do not depend on how many threads infer's mean and quantile loops run."""
 
-    @pytest.mark.parametrize("flags, loops", [({"--tune": ""}, 2), ({"--estimand": "quantile", "--q": "0.9"}, 1)],
-                             ids=["tuned-mean", "quantile"])
+    # At 3 CPUs each loop starts a pool, and so does the one round of three fold models' predictions.
+    @pytest.mark.parametrize("flags, loops", [({"--tune": ""}, 2), ({"--estimand": "quantile", "--q": "0.9"}, 1),
+                                              ({"--crossfit": "3", "--learner": "knn"}, 2)],
+                             ids=["tuned-mean", "quantile", "crossfit-knn"])
     def test_infer_output_is_byte_identical(self, monkeypatch, capsys, flags, loops):
         pools = []
 

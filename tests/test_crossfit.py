@@ -1,5 +1,6 @@
 """Fold partitioning, learner plumbing, and cross-fitted intervals."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -251,6 +252,53 @@ class TestAssemble:
         train_fold_models(X, y, folds, learner)
         for i in range(n):
             assert i not in learner.seen[folds[i]]
+
+
+class TestAssembleThreads:
+    """The ensemble's unlabeled predictions run on up to ``threads`` threads and keep every bit."""
+
+    @pytest.mark.parametrize("K", [3, 10])
+    @pytest.mark.parametrize("kind", ["linear_least_squares", "logistic_irls", "knn"])
+    def test_thread_count_never_changes_the_predictions(self, kind, K):
+        g = np.random.default_rng(40)
+        X = g.standard_normal((80, 3))
+        eta = X @ np.array([0.8, -0.5, 0.3])
+        y = (g.random(80) < 1.0 / (1.0 + np.exp(-eta))).astype(float) if kind == "logistic_irls" else eta
+        # Enough unlabeled rows that a kNN model predicts them in several chunks.
+        Xu = g.standard_normal((3000, 3))
+        folds = partition_folds(80, K, RngStream(41))
+        models = train_fold_models(X, y, folds, LearnerSpec(kind))
+        labeled = np.empty(80)
+        unlabeled = np.zeros(3000)
+        for j, model in enumerate(models):
+            labeled[folds == j] = model(X[folds == j])
+            unlabeled += model(Xu)
+        unlabeled /= K
+        for threads in (1, 2, 3):
+            lab, unl = assemble_cross_predictions(X, Xu, folds, models, threads)
+            assert (lab.tobytes(), unl.tobytes()) == (labeled.tobytes(), unlabeled.tobytes())
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_failing_model_raises_the_one_thread_error(self, threads):
+        caller = threading.get_ident()
+        ran_on = {}
+
+        def model(j):
+            def predict(queries):
+                if queries.shape[0] == 5:  # the unlabeled rows
+                    ran_on[j] = threading.get_ident()
+                    if j == 1:
+                        raise EstimationError("model 1 failed")
+                return np.zeros(queries.shape[0])
+
+            return predict
+
+        folds = partition_folds(9, 3, RngStream(42))
+        before = threading.active_count()
+        with pytest.raises(EstimationError, match="^model 1 failed$"):
+            assemble_cross_predictions(np.zeros((9, 1)), np.zeros((5, 1)), folds, [model(j) for j in range(3)], threads)
+        assert threading.active_count() == before
+        assert (ran_on[1] == caller) == (threads == 1)
 
 
 class TestCrossIntervals:

@@ -1,11 +1,13 @@
 """The package's public surface and imports.
 
 Every exported name exists, the imports stay within numpy and the stdlib,
-and no module imports a name it never reads or defines a constant that
-nothing reads.
+no module imports a name it never reads or defines a constant that nothing
+reads, and importing the CLI leaves the thread pool unimported.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +81,13 @@ def test_every_import_and_constant_is_read():
     assert len(constants) > 10
     assert {name: unread for name, unread in unread_imports.items() if unread} == {}
     assert sorted(constants - read) == []
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unimported():
+    # The pool is imported where a loop first deals work to threads, so the
+    # package's import time never pays for it.
+    src = Path(ppboot.__file__).parent.parent
+    probe = "import sys; import ppboot.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
