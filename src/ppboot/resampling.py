@@ -13,12 +13,14 @@ The bootstrap loop keys these streams in bulk: a stream's generator is a
 Philox keyed by ``SeedSequence(master_seed, spawn_key=path)``
 ``.generate_state(2, np.uint64)`` (Salmon et al., SC'11), a pure function of
 ``(master_seed, path)``.  :func:`philox_keys` computes the keys of many
-paths, and of their ``UNLABELED_TAG`` children, in one pass of numpy
-arithmetic that follows numpy's ``SeedSequence`` hash (O'Neill's
-``seed_seq`` design), and :func:`draw_keyed_indices` resets one generator
-to a key's stream start before each draw, so every index is the one
-:meth:`RngStream.generator` would give.  ``tests/_reference.py`` re-derives
-the streams through ``SeedSequence`` on its own.
+paths, and of their ``UNLABELED_TAG`` children, at once: it takes numpy's
+own ``SeedSequence`` pool for the master seed and the shared path, and
+hashes only each attempt's tail words, in numpy arithmetic that follows the
+``SeedSequence`` hash (O'Neill's ``seed_seq`` design).
+:func:`draw_keyed_indices` resets one generator to a key's stream start
+before each draw, so every index is the one :meth:`RngStream.generator`
+would give.  ``tests/_reference.py`` re-derives the streams through
+``SeedSequence`` on its own.
 """
 
 from __future__ import annotations
@@ -60,11 +62,20 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) <= _MAX_SEED):
-            raise ValueError(f"master_seed must be in [0, 2^64): got {self.master_seed}")
-        path = tuple(int(c) for c in self.path)
+        import operator
+
+        # Python and numpy integers pass; int() would truncate a float into another stream.
+        try:
+            seed = operator.index(self.master_seed)
+            path = tuple(operator.index(c) for c in self.path)
+        except TypeError:
+            raise ValueError(f"master_seed and path components must be integers: got {self.master_seed!r}, "
+                             f"{self.path!r}") from None
+        if not 0 <= seed <= _MAX_SEED:
+            raise ValueError(f"master_seed must be in [0, 2^64): got {seed}")
         if not all(0 <= c <= _MASK32 for c in path):
             raise ValueError(f"path components must be in [0, 2^32): got {path}")
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "path", path)
 
     def child(self, *components: int) -> "RngStream":
@@ -85,12 +96,6 @@ class RngStream:
 UNLABELED_TAG = 1
 
 
-def _mix(x, y):
-    """seed_seq's mix of a pool word ``x`` with a hashed word ``y`` (Python ints or uint32 arrays)."""
-    r = (x * _MIX_L - y * _MIX_R) & _MASK32
-    return r ^ r >> 16
-
-
 def _constants(h: int, mult: int, count: int) -> np.ndarray:
     """``h`` and the ``count`` hash constants after it, ``h * mult**k`` mod 2**32, as a uint32 column."""
     out = [h]
@@ -99,46 +104,23 @@ def _constants(h: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None]
 
 
-def _prefix_pool(stream: RngStream) -> tuple[list[int], int]:
-    """SeedSequence's pool after the master seed and ``stream.path``, and its next hash constant.
-
-    Python ints, computed once per call of :func:`philox_keys`: the seed's
-    two words padded to the pool size (as a non-empty spawn key requires),
-    the pool's cross-mix, then one word per path component.
-    """
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    seed = stream.master_seed
-    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in stream.path:
-        pool = [_mix(x, hashmix(word)) for x in pool]
-    return pool, h
-
-
 def philox_keys(stream: RngStream, tails) -> tuple[np.ndarray, np.ndarray]:
     """The Philox keys of ``stream.child(*tail)`` and of its ``UNLABELED_TAG`` child, for each row of ``tails``.
 
     ``tails`` is a (K, m) array of path components in [0, 2**32); both
     results are (K, 2) uint64 arrays, each row equal to
     ``SeedSequence(master_seed, spawn_key=path).generate_state(2, np.uint64)``.
-    Each column is hashed into every row's four pool words at once; uint32
+    The pool after the master seed and ``stream.path`` is numpy's own; then
+    each column is hashed into every row's four pool words at once.  uint32
     arrays wrap as the hash does, and no step touches a numpy scalar, whose
     wrap-around would warn.
     """
     words = np.asarray(tails).astype(np.uint32)
-    pool, h = _prefix_pool(stream)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.random.SeedSequence(stream.master_seed, spawn_key=stream.path).pool[:, None]
+    # The hash constant after the prefix: 4 hashmix calls fill the pool, 12
+    # cross-mix it and 4 absorb each path component (one word, as is each
+    # tail word; the seed's at most two words are padded to the pool's four).
+    h = _INIT_A * pow(_MULT_A, 16 + 4 * len(stream.path), 1 << 32) & _MASK32
     m = words.shape[1]
     a = _constants(h, _MULT_A, 4 * m + 4)
     b = _constants(_INIT_B, _MULT_B, 4)
@@ -146,7 +128,8 @@ def philox_keys(stream: RngStream, tails) -> tuple[np.ndarray, np.ndarray]:
     def absorb(j, column):
         nonlocal pool
         v = (column ^ a[4 * j:4 * j + 4]) * a[4 * j + 1:4 * j + 5]
-        pool = _mix(pool, v ^ v >> 16)
+        r = pool * _MIX_L - (v ^ v >> 16) * _MIX_R  # seed_seq's mix of each pool word with the hashed word
+        pool = r ^ r >> 16
 
     def key():
         v = (pool ^ b[:4]) * b[1:]

@@ -79,12 +79,43 @@ def ols(design, outcomes, target: int) -> tuple[float, str | None]:
     return float(beta[target] / scale[target]), None
 
 
+def logistic(x, outcomes) -> tuple[float, str | None]:
+    """The slope of the maximum-likelihood logistic fit on one feature ``x`` and an intercept, and its reason.
+
+    One outcome class alone is ``"constant outcome"`` and a single distinct
+    x a ``"singular design"``.  Otherwise the likelihood has no maximum
+    exactly when the two classes' x ranges overlap in at most one point
+    (Albert and Anderson, Biometrika 1984): ``"separation"``.  The fit is
+    Newton's method from zero, stopped once its largest step is below 1e-8
+    or after 100 steps.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(outcomes, dtype=float)
+    if len(set(y.tolist())) == 1:
+        return math.nan, "constant outcome"
+    if len(set(x.tolist())) == 1:
+        return math.nan, "singular design"
+    zeros, ones = x[y == 0.0], x[y == 1.0]
+    if zeros.max() <= ones.min() or ones.max() <= zeros.min():
+        return math.nan, "separation"
+    design = np.column_stack([x, np.ones(x.size)])
+    beta = np.zeros(2)
+    for _ in range(100):
+        mu = 1.0 / (1.0 + np.exp(-(design @ beta)))
+        hessian = design.T @ (design * (mu * (1.0 - mu))[:, None])
+        step = np.linalg.solve(hessian, design.T @ (y - mu))
+        beta = beta + step
+        if np.abs(step).max() < 1e-8:
+            break
+    return float(beta[0]), None
+
+
 def estimate(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> tuple[float, str | None]:
     """The estimate of ``kind`` on one sample and its reason, ``None`` for a clean one.
 
     ``column`` is the exposure column of the log odds ratio, the feature
     column of the Pearson correlation and the target coefficient of OLS,
-    whose design is the features and a trailing intercept column.
+    whose design is the features and a trailing intercept column.  Logistic
+    takes features of one column and gives the slope (:func:`logistic`).
     """
     y = np.asarray(outcomes, dtype=float)
     if kind == "mean":
@@ -98,6 +129,9 @@ def estimate(kind: str, features, outcomes, q: float = 0.5, column: int = 0) -> 
         return pearson(X[:, column], y)
     if kind == "ols_coef":
         return ols(np.column_stack([X, np.ones(y.size)]), y, column)
+    if kind == "logistic_coef":
+        (x,) = X.T
+        return logistic(x, y)
     raise ValueError(kind)
 
 

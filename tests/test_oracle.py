@@ -1,12 +1,14 @@
-"""Whole intervals of the log odds ratio, the Pearson correlation and OLS against textbook forms.
+"""Whole intervals of the log odds ratio, the Pearson correlation, OLS and logistic against textbook forms.
 
 ``tests/_reference.py`` counts each resample's 2x2 table, correlates by the
-centred formula, fits OLS by ``np.linalg.lstsq`` on the drawn rows and
-applies the retry-and-drop rule in a plain loop over the streams; nothing in
-it comes from the package but its errors.  The problems are small so that
-resamples often degenerate: tables with an empty cell, a feature column that
-is constant but for two rows, and a 0/1 column with two 1s, which a resample
-often draws all 0, leaving the design singular.
+centred formula, fits OLS by ``np.linalg.lstsq`` on the drawn rows, fits
+logistic by Newton's method from zero after deciding separation in closed
+form, and applies the retry-and-drop rule in a plain loop over the streams;
+nothing in it comes from the package but its errors.  The problems are small
+so that resamples often degenerate: tables with an empty cell, a feature
+column that is constant but for two rows, a 0/1 column with two 1s, which a
+resample often draws all 0, leaving the design singular, and logistic data
+that a resample often draws separated.
 """
 
 import math
@@ -74,24 +76,64 @@ def ols_problem(seed, rare=False):
     return X, y, f, Xu, fu
 
 
-# Each problem's estimand and data; all but "ols" often degenerate.
+def logistic_problem(seed):
+    """One feature and 0/1 outcomes of slope 2, 0/1 predictions: a resample is sometimes separated."""
+    g = np.random.default_rng(seed)
+    n, N = 16, 40
+    x, xu = g.standard_normal(n), g.standard_normal(N)
+    y = (g.random(n) < 1.0 / (1.0 + np.exp(-2.0 * x))).astype(float)
+    f = np.where(g.random(n) < 0.8, y, 1.0 - y)
+    fu = (g.random(N) < 1.0 / (1.0 + np.exp(-2.0 * xu))).astype(float)
+    return x[:, None], y, f, xu[:, None], fu
+
+
+def near_separated_problem(seed):
+    """One feature on a grid of 1/2 whose sign is the class (either at 0), but for the rows (1/2, 0) and (-1/2, 1).
+
+    Each side's classes overlap beyond the point 0 only through those two
+    rows, so a resample that misses both is separated: quasi-completely
+    (the classes' x ranges meet in one point) when it draws both classes
+    at 0, which rows (0, 0) and (0, 1) make common.  The predictions flip
+    one more labeled outcome.
+    """
+    g = np.random.default_rng(seed)
+
+    def side(size):
+        x = np.round(2.0 * g.standard_normal(size)) / 2.0
+        y = np.where(x == 0.0, g.random(size) < 0.5, x > 0.0).astype(float)
+        x[:4], y[:4] = [0.5, -0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0]
+        return x[:, None], y
+
+    X, y = side(20)
+    f = y.copy()
+    f[4] = 1.0 - f[4]
+    Xu, fu = side(40)
+    return X, y, f, Xu, fu
+
+
+# Each problem's estimand and data; all but "ols" often degenerate, "logistic" less often.
 PROBLEMS = {
     "log_odds_ratio": ("log_odds_ratio", odds_problem),
     "pearson_corr": ("pearson_corr", pearson_problem),
     "ols": ("ols_coef", ols_problem),
     "ols-rare-binary": ("ols_coef", lambda seed: ols_problem(seed, rare=True)),
+    "logistic": ("logistic_coef", logistic_problem),
+    "logistic-near-separated": ("logistic_coef", near_separated_problem),
 }
-DEGENERATE = ["log_odds_ratio", "pearson_corr", "ols-rare-binary"]
+DEGENERATE = ["log_odds_ratio", "pearson_corr", "ols-rare-binary", "logistic-near-separated"]
 
 
 def spec_of(kind):
+    if kind == "logistic_coef":  # the slope of the one feature, whose separation the reference decides
+        return EstimandSpec(kind)
     return EstimandSpec(kind, target_index=COLUMN, exposure_column=COLUMN, feature_column=COLUMN)
 
 
 @pytest.mark.parametrize("retries", [10, 1])
 @pytest.mark.parametrize("lam", [1.0, 0.6, 0.0])
 @pytest.mark.parametrize("problem, seed", [("log_odds_ratio", 0), ("log_odds_ratio", 2), ("pearson_corr", 2),
-                                           ("ols", 0), ("ols-rare-binary", 3)])
+                                           ("ols", 0), ("ols-rare-binary", 3), ("logistic", 0),
+                                           ("logistic-near-separated", 0)])
 def test_interval_is_the_textbook_interval(problem, seed, lam, retries):
     kind, make = PROBLEMS[problem]
     X, y, f, Xu, fu = make(seed)
@@ -152,3 +194,16 @@ def test_each_resample_is_the_textbook_value_and_reason(problem, side):
         else:
             assert value == pytest.approx(expected, abs=1e-8)
     assert len(reasons) == 2  # clean and degenerate resamples both occur
+
+
+def test_near_separated_resamples_reach_the_one_point_overlap():
+    # The closed-form rule's boundary: some resamples' classes meet in one
+    # point (quasi-complete separation, which the engine must find from
+    # vanishing weights), others overlap on more and have a finite fit.
+    X, y, _, _, _ = near_separated_problem(0)
+    overlaps = set()
+    for b in range(100):
+        idx = ref.labeled_indices(y.size, 9, (b,))
+        zeros, ones = X[idx, 0][y[idx] == 0.0], X[idx, 0][y[idx] == 1.0]
+        overlaps.add(min(zeros.max(), ones.max()) - max(zeros.min(), ones.min()))
+    assert 0.0 in overlaps and max(overlaps) > 0.0

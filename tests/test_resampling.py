@@ -42,6 +42,17 @@ class TestRngStream:
         with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
             RngStream(0).child(2**32)
         assert RngStream(2**64 - 1, (2**32 - 1,)).path == (2**32 - 1,)
+        # A float is no seed and no path component: int() would truncate
+        # (0, (1.5,)) onto the stream of (0, (1,)).
+        for seed, path in [(1.7, ()), (0, (1.5,)), (np.float64(3.0), ()), ("3", ()), (0, (np.float64(2.0),))]:
+            with pytest.raises(ValueError, match=r"^master_seed and path components must be integers"):
+                RngStream(seed, path)
+        with pytest.raises(ValueError, match="must be integers"):
+            RngStream(0).child(0.5)
+        # numpy integers pass and are stored as Python ints.
+        stream = RngStream(np.uint64(5), (np.int64(2),))
+        assert stream == RngStream(5, (2,))
+        assert type(stream.master_seed) is int and type(stream.path[0]) is int
 
 
 class _Recorder:
